@@ -78,7 +78,6 @@ from repro.campaigns import (
 )
 from repro.scenarios import all_scenarios, get_scenario, scenario_names
 from repro.search.space import target_names
-from repro.sim.batch import HAVE_NUMPY
 
 __all__ = ["main"]
 
@@ -112,11 +111,20 @@ def build_graph(args) -> object:
 
 
 def spec_from_args(args) -> RunSpec:
-    """One declarative RunSpec for the configuration the flags describe."""
-    if args.placement == "pair-distance" and args.pair_distance is None:
+    """One declarative RunSpec for the configuration the flags describe.
+
+    Without ``--placement`` the start configuration follows the algorithm:
+    Undispersed-Gathering (Theorem 8) assumes at least two robots share a
+    start node, so it defaults to ``undispersed``; everything else defaults
+    to ``dispersed``.
+    """
+    placement = args.placement
+    if placement is None:
+        placement = "undispersed" if args.algorithm == "undispersed" else "dispersed"
+    if placement == "pair-distance" and args.pair_distance is None:
         raise SystemExit("--pair-distance is required for this placement")
     placement_args: Dict[str, Any] = {"seed": args.seed}
-    if args.placement == "pair-distance":
+    if placement == "pair-distance":
         placement_args["distance"] = args.pair_distance
     algorithm_args = {
         key: value
@@ -131,7 +139,7 @@ def spec_from_args(args) -> RunSpec:
         algorithm=args.algorithm,
         family=args.family,
         graph=graph_params(args),
-        placement=args.placement,
+        placement=placement,
         k=args.k,
         placement_args=placement_args,
         labels=args.labels,
@@ -166,26 +174,6 @@ def runtime_requested(args) -> bool:
     return args.workers is not None or bool(args.cache_dir)
 
 
-def resolve_engine_flag(args) -> Optional[str]:
-    """The engine name the flags select, mapping deprecated ``--batch``.
-
-    ``--batch`` stays accepted for one release as an alias for the best
-    available replica backend; it warns on stderr so scripts migrate to
-    ``--engine batch-numpy`` / ``--engine batch-list`` (an explicit
-    ``--engine`` wins when both are given).
-    """
-    engine = getattr(args, "engine", None)
-    if getattr(args, "batch", False):
-        print(
-            "warning: --batch is deprecated; use --engine batch-numpy "
-            "(or --engine batch-list)",
-            file=sys.stderr,
-        )
-        if engine is None:
-            engine = "batch-numpy" if HAVE_NUMPY else "batch-list"
-    return engine
-
-
 def runtime_context(args) -> str:
     """Scenario / knowledge-ablation suffix for the runtime summary line,
     so the accounting says *what* ran, not just how much."""
@@ -196,8 +184,6 @@ def runtime_context(args) -> str:
         parts.append(f"replicas={args.replicas}")
     if getattr(args, "engine", None):
         parts.append(f"engine={args.engine}")
-    if getattr(args, "batch", False):
-        parts.append("batch=on")
     if getattr(args, "max_degree", None) is not None:
         parts.append(f"knowledge[max_degree]={args.max_degree}")
     if getattr(args, "hop_distance", None) is not None:
@@ -362,9 +348,7 @@ def cmd_sweep(args) -> int:
         swept = cache.sweep_stale_tmp()
         cache.refresh()
     specs = sweep_specs(args)
-    result = _profiled_execute(
-        args, specs, cache=cache, engine=resolve_engine_flag(args)
-    )
+    result = _profiled_execute(args, specs, cache=cache, engine=args.engine)
     result.stats.tmp_swept += swept
     if replicas > 1:
         # One aggregate row per n: a replica campaign reports the seed
@@ -434,7 +418,7 @@ def _sweep_scenario(args) -> int:
     _reject_ignored_flags(
         args,
         ["sweep", "--scenario", args.scenario],
-        {"scenario", "workers", "cache_dir", "profile", "replicas", "batch", "engine"},
+        {"scenario", "workers", "cache_dir", "profile", "replicas", "engine"},
         f"--scenario {args.scenario} runs the registry's pinned specs",
     )
     args.name = args.scenario
@@ -489,7 +473,7 @@ def cmd_scenarios_run(args) -> int:
             executor=SerialExecutor() if profiling else make_executor(args),
             cache=make_cache(args),
             replicas=getattr(args, "replicas", 1),
-            engine=resolve_engine_flag(args),
+            engine=args.engine,
         )
     print(render_table(out["rows"], title=f"scenario: {args.name}"))
     summary = out["summary"]
@@ -729,7 +713,7 @@ def cmd_campaign_run(args) -> int:
         manifest,
         args.cache_dir,
         workers=args.workers,
-        engine=resolve_engine_flag(args),
+        engine=args.engine,
         lease_timeout=args.lease_timeout,
         idle_timeout=args.idle_timeout,
     )
@@ -806,9 +790,6 @@ def make_parser() -> argparse.ArgumentParser:
                              "scalar scheduler); batch-* engines run "
                              "differ-only-by-seed groups in lockstep — all "
                              "backends are bit-identical; see docs/ENGINES.md")
-        sp.add_argument("--batch", action="store_true",
-                        help="deprecated alias for '--engine batch-numpy' "
-                             "(accepted for one release, warns on stderr)")
 
     def common(sp):
         sp.add_argument("--family", choices=sorted(gg.FAMILIES), default="ring")
@@ -817,7 +798,9 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--algorithm", choices=sorted(ALGORITHM_BUILDERS), default="faster")
         sp.add_argument("--placement",
                         choices=["undispersed", "dispersed", "scatter", "pair-distance"],
-                        default="dispersed")
+                        default=None,
+                        help="start configuration (default: undispersed for "
+                             "--algorithm undispersed, dispersed otherwise)")
         sp.add_argument("--pair-distance", type=int, default=None)
         sp.add_argument("--labels", choices=list(LABEL_SCHEMES), default="random")
         sp.add_argument("--seed", type=int, default=0)

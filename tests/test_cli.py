@@ -39,6 +39,17 @@ class TestRun:
                    "--algorithm", "undispersed", "--placement", "undispersed"])
         assert rc == 0
 
+    def test_run_undispersed_defaults_to_undispersed_placement(self, capsys):
+        """Theorem 8 assumes an undispersed start; without --placement the
+        run must not silently start dispersed and report no gathering."""
+        rc = main(["run", "--algorithm", "undispersed", "--family", "ring",
+                   "--n", "16", "--k", "4"])
+        assert rc == 0
+        row = next(l for l in capsys.readouterr().out.splitlines()
+                   if l.startswith("undispersed |"))
+        cells = [c.strip() for c in row.split("|")]
+        assert cells[7:9] == ["yes", "yes"]  # gathered, detected
+
     def test_run_tz_reports_first_gather(self, capsys):
         rc = main(["run", "--family", "ring", "--n", "8", "--k", "2",
                    "--algorithm", "tz"])
@@ -75,18 +86,18 @@ class TestReplicaFlags:
         assert "log-log slope" in out
 
     def test_sweep_batch_routes_through_engine(self, capsys):
-        rc = main(["sweep", "--ns", "8", "--replicas", "3", "--batch",
-                   "--workers", "1"])
+        rc = main(["sweep", "--ns", "8", "--replicas", "3",
+                   "--engine", "batch-numpy", "--workers", "1"])
         assert rc == 0
         out = capsys.readouterr().out
         # replicas 1.. group and batch; replica 0 keeps its pinned seeds
-        assert "(2 batched)" in out and "batch=on" in out
+        assert "(2 batched)" in out and "engine=batch-numpy" in out
 
     def test_sweep_batched_rows_equal_scalar_rows(self, capsys):
         argv = ["sweep", "--ns", "8", "12", "--replicas", "3"]
         assert main(argv) == 0
         scalar_out = capsys.readouterr().out.splitlines()
-        assert main(argv + ["--batch"]) == 0
+        assert main(argv + ["--engine", "batch-numpy"]) == 0
         batched_out = capsys.readouterr().out.splitlines()
         # the table is identical; only the (optional) runtime line differs
         table = [l for l in scalar_out if "|" in l or "slope" in l]
@@ -95,14 +106,14 @@ class TestReplicaFlags:
 
     def test_scenarios_run_replicas(self, capsys):
         rc = main(["scenarios", "run", "clean-sync", "--replicas", "2",
-                   "--batch", "--workers", "1"])
+                   "--engine", "batch-numpy", "--workers", "1"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "replica" in out  # the per-row replica column appears
 
     def test_sweep_scenario_honors_replica_flags(self, capsys):
         rc = main(["sweep", "--scenario", "clean-sync", "--replicas", "2",
-                   "--batch"])
+                   "--engine", "batch-numpy"])
         assert rc == 0
         assert "replica" in capsys.readouterr().out
 
@@ -112,18 +123,6 @@ class TestReplicaFlags:
 
 
 class TestEngineFlag:
-    def test_sweep_engine_batch_rows_equal_legacy_batch_rows(self, capsys):
-        argv = ["sweep", "--ns", "8", "--replicas", "3", "--workers", "1"]
-        assert main(argv + ["--engine", "batch-list"]) == 0
-        engine_out = capsys.readouterr().out.splitlines()
-        assert main(argv + ["--batch"]) == 0
-        legacy_out = capsys.readouterr().out.splitlines()
-        table_e = [l for l in engine_out if "|" in l or "slope" in l]
-        table_l = [l for l in legacy_out if "|" in l or "slope" in l]
-        assert table_e == table_l
-        assert any("(2 batched)" in l for l in engine_out)
-        assert any("engine=batch-list" in l for l in engine_out)
-
     def test_sweep_scalar_engines_match_default(self, capsys):
         def table(lines):
             return [l for l in lines if "|" in l or "slope" in l]
@@ -137,25 +136,13 @@ class TestEngineFlag:
             assert table(lines) == default_table, name
             assert any(f"engine={name}" in l for l in lines), name
 
-    def test_batch_flag_warns_deprecated_on_stderr(self, capsys):
-        rc = main(["sweep", "--ns", "8", "--replicas", "2", "--batch",
-                   "--workers", "1"])
-        assert rc == 0
-        err = capsys.readouterr().err
-        assert "--batch is deprecated" in err
-        assert "--engine batch-numpy" in err
-
-    def test_explicit_engine_wins_over_legacy_batch(self, capsys):
-        rc = main(["sweep", "--ns", "8", "--replicas", "2", "--batch",
-                   "--engine", "soa", "--workers", "1"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "engine=soa" in out
-        assert "batched" not in out  # nothing routed through the replica engine
-
     def test_unknown_engine_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             main(["sweep", "--ns", "8", "--engine", "warp-drive"])
+
+    def test_retired_batch_flag_rejected_by_parser(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--ns", "8", "--batch"])
 
     def test_scenarios_run_engine_flag(self, capsys):
         rc = main(["scenarios", "run", "clean-sync", "--replicas", "2",

@@ -428,18 +428,6 @@ def test_runtime_records_and_cache_keys_identical(engine, tmp_path):
     assert [o.run_or_raise() for o in rerun.outcomes] == records
 
 
-def test_legacy_batch_flag_maps_to_engine_and_warns():
-    specs = _runtime_specs()
-    with pytest.warns(DeprecationWarning, match="engine='batch-numpy'"):
-        legacy = execute(specs, executor=SerialExecutor(), batch=True)
-    name = "batch-numpy" if HAVE_NUMPY else "batch-list"
-    current = execute(specs, executor=SerialExecutor(), engine=name)
-    assert [o.run_or_raise() for o in legacy.outcomes] == [
-        o.run_or_raise() for o in current.outcomes
-    ]
-    assert legacy.stats.batched == current.stats.batched == len(specs)
-
-
 def test_world_run_default_is_the_default_engine():
     case_id, graph, factory_fn, place, k = MATRIX[0]
     implicit = World(graph, make_fleet(graph, factory_fn, place, k)).run()
