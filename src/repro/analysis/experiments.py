@@ -90,13 +90,22 @@ def verify_uxs_for_graph(graph: PortGraph) -> None:
     (instead of running anyway) keeps reported numbers honest — a schedule
     whose exploration property is broken would produce garbage rounds, not
     a valid reproduction.
+
+    A passed check is memoized per process on the ``(graph, plan)``
+    identities (:func:`repro.runtime.graph_cache.uxs_covered`), so a graph
+    shared through the graph memo is walked once, on its first use.
     """
+    from repro.runtime import graph_cache  # avoid a cycle
+
     plan = practical_plan(graph.n)
-    if plan.T and not covers_all_starts(graph, plan.offsets):
+    if not plan.T or graph_cache.uxs_covered(graph, plan):
+        return
+    if not covers_all_starts(graph, plan.offsets):
         raise UxsCertificationError(
             f"practical UXS plan for n={graph.n} does not cover this graph; "
             f"raise the certification safety factor"
         )
+    graph_cache.mark_uxs_covered(graph, plan)
 
 
 def _scenario_extras(result) -> Dict[str, Any]:

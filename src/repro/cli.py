@@ -219,12 +219,14 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    from repro.uxs.generators import certification_battery, practical_plan
+    from repro.uxs.generators import certification_battery, practical_plan, tabled_length
 
+    tabled = tabled_length(args.n) is not None
     plan = practical_plan(args.n)
     battery = certification_battery(args.n)
     print(f"practical UXS plan for n={args.n}:")
     print(f"  length T = {plan.T}   provenance = {plan.provenance}")
+    print(f"  source = {'certified table' if tabled else 'live certification'}")
     print(f"  certified on {len(battery)} battery graphs from every start node")
     print(f"  paper-exact padding would be Õ(n^5) ≈ {args.n ** 5}")
     return 0

@@ -32,6 +32,8 @@ from repro.graphs.port_graph import PortGraph
 __all__ = [
     "graph_for",
     "pair_memo_for",
+    "uxs_covered",
+    "mark_uxs_covered",
     "cache_info",
     "clear",
     "disabled",
@@ -109,16 +111,45 @@ def pair_memo_for(graph: PortGraph):
     return memo
 
 
+#: Successful UXS coverage checks, keyed by ``(id(graph), id(plan))``.  Each
+#: entry holds strong references to its graph and plan, so a live entry's
+#: ids cannot be recycled; the identity check guards the (bounded) stale
+#: case, as for the pair memos.
+_uxs_covered: Dict[Tuple[int, int], Tuple[PortGraph, Any]] = {}
+
+
+def uxs_covered(graph: PortGraph, plan) -> bool:
+    """Whether ``plan`` was already verified to cover ``graph`` from every
+    start in this process (see :func:`mark_uxs_covered`)."""
+    entry = _uxs_covered.get((id(graph), id(plan)))
+    return entry is not None and entry[0] is graph and entry[1] is plan
+
+
+def mark_uxs_covered(graph: PortGraph, plan) -> None:
+    """Record a *successful* coverage check of ``plan`` on ``graph``.
+
+    :func:`repro.analysis.experiments.verify_uxs_for_graph` calls this only
+    after the cover walk passed, so a failure is never memoized: the next
+    call walks (and raises) again.  Both objects are pure (``PortGraph`` and
+    ``UxsPlan`` are immutable), so the check's answer cannot change.
+    """
+    if len(_uxs_covered) >= MAX_ENTRIES:
+        _uxs_covered.pop(next(iter(_uxs_covered)))
+    _uxs_covered[(id(graph), id(plan))] = (graph, plan)
+
+
 def cache_info() -> Dict[str, int]:
     """``{"hits", "misses", "size"}`` for this process's memo."""
     return {"hits": _hits, "misses": _misses, "size": len(_cache)}
 
 
 def clear() -> None:
-    """Drop every memoized graph/pair-distance memo and reset the counters."""
+    """Drop every memoized graph, pair-distance memo and coverage check, and
+    reset the counters."""
     global _hits, _misses
     _cache.clear()
     _pair_memos.clear()
+    _uxs_covered.clear()
     _hits = 0
     _misses = 0
 

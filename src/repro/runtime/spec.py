@@ -36,6 +36,7 @@ from repro.analysis.placement import (
     undispersed_placement,
 )
 from repro.baselines import dessmark_program, random_walk_program, tz_rendezvous_program
+from repro.core.bounds import faster_gathering_boundaries
 from repro.core.faster_gathering import faster_gathering_program
 from repro.core.undispersed import undispersed_gathering_program
 from repro.core.uxs_gathering import uxs_gathering_program
@@ -58,6 +59,7 @@ __all__ = [
     "batch_key",
     "group_into_batches",
     "materialize",
+    "resolved_max_rounds",
     "register_algorithm",
     "unregister_algorithm",
     "ALGORITHM_BUILDERS",
@@ -319,6 +321,23 @@ def _materialize_parts(spec: RunSpec, graph: PortGraph):
     return starts, labels, factory_for
 
 
+def resolved_max_rounds(spec: RunSpec, graph: PortGraph) -> int:
+    """The round cap a run of ``spec`` on ``graph`` executes under.
+
+    An explicit :attr:`RunSpec.max_rounds` wins.  Otherwise the cap is
+    ``DEFAULT_MAX_ROUNDS``, except for Faster-Gathering, whose six hop steps
+    alone can outlast it (the 4-hop step ends after 626M rounds at n=64):
+    its cap is counted from the end of step 6, where the UXS fallback
+    starts.  Resolved at execution time, so ``spec.max_rounds`` — and the
+    cache key — stays ``None``.
+    """
+    if spec.max_rounds is not None:
+        return spec.max_rounds
+    if spec.algorithm == "faster":
+        return faster_gathering_boundaries(graph.n)[-1] + DEFAULT_MAX_ROUNDS
+    return DEFAULT_MAX_ROUNDS
+
+
 def materialize(spec: RunSpec):
     """Rebuild the live objects a spec describes.
 
@@ -533,11 +552,9 @@ def execute_batch_spec(batch: BatchRunSpec) -> List[RunOutcome]:
     engine = make_replica_batch(
         graph, fleets, strict=template.strict, backend=batch.backend
     )
-    max_rounds = (
-        template.max_rounds if template.max_rounds is not None else DEFAULT_MAX_ROUNDS
-    )
     replica_outcomes = engine.run(
-        max_rounds=max_rounds, stop_on_gather=template.stop_on_gather
+        max_rounds=resolved_max_rounds(template, graph),
+        stop_on_gather=template.stop_on_gather,
     )
     memo = pair_memo_for(graph)  # shared per process; answers bit-identical
     elapsed = (time.perf_counter() - t0) / len(specs)
@@ -589,7 +606,7 @@ def execute_spec(spec: RunSpec, engine: Optional[str] = None) -> RunOutcome:
             knowledge=dict(spec.knowledge),
             uses_uxs=spec.uses_uxs,
             stop_on_gather=spec.stop_on_gather,
-            max_rounds=spec.max_rounds,
+            max_rounds=resolved_max_rounds(spec, graph),
             strict=spec.strict,
             activation=spec.activation,
             activation_args=dict(spec.activation_args),

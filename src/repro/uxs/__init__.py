@@ -15,9 +15,11 @@ substitution S1), so this package provides:
   pseudorandom sequence derived from ``n`` alone, certified by walking it
   over a deterministic battery of graphs (including the lollipop cover-time
   worst case) from every start node, with a doubling search for the
-  required length.  Everything is a pure function of ``n``: all robots
-  compute the identical plan, which is the only property the algorithms
-  rely on.
+  required length (:func:`~repro.uxs.generators.certify_plan`).  Everything
+  is a pure function of ``n``: all robots compute the identical plan, which
+  is the only property the algorithms rely on.  Certification yields one
+  integer per ``n``, so :mod:`~repro.uxs.table` commits it for every
+  ``n <= 128``; only other ``n`` are certified live.
 * :func:`~repro.uxs.generators.exhaustive_plan` — a provably universal
   sequence for tiny ``n`` found by searching against *all* connected
   port-labeled graphs on at most ``n`` nodes.
@@ -27,13 +29,14 @@ substitution S1), so this package provides:
 """
 
 from repro.uxs.sequence import UxsPlan, exploration_walk
-from repro.uxs.generators import practical_plan, exhaustive_plan, splitmix_offsets
+from repro.uxs.generators import certify_plan, practical_plan, exhaustive_plan, splitmix_offsets
 from repro.uxs.verify import covers, cover_step, covers_all_starts, UxsCertificationError
 
 __all__ = [
     "UxsPlan",
     "exploration_walk",
     "practical_plan",
+    "certify_plan",
     "exhaustive_plan",
     "splitmix_offsets",
     "covers",

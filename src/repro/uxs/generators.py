@@ -4,25 +4,31 @@ Two constructions, per DESIGN.md substitution S1:
 
 * :func:`practical_plan` — the workhorse.  Symbols come from a splitmix64
   stream seeded *only by n*, so every robot derives the identical sequence
-  from its model-granted knowledge.  The length is found by doubling until
-  the sequence covers a deterministic certification battery (rings, paths,
-  complete graphs, lollipops, trees, random regular/ER samples — including
-  the classic cover-time worst cases) from **every** start node, then
-  trimmed to the worst observed cover step times a safety factor.
+  from its model-granted knowledge.  The length is found by
+  :func:`certify_plan`: doubling until the sequence covers a deterministic
+  certification battery (rings, paths, complete graphs, lollipops, trees,
+  random regular/ER samples — including the classic cover-time worst
+  cases) from **every** start node, then trimmed to the worst observed
+  cover step times a safety factor.  That length is the only output of
+  certification, so it is committed for every ``n <= 128`` in
+  :mod:`repro.uxs.table` (checked against :func:`certify_plan` by the
+  tests and ``python -m repro.uxs.table --check``); a process certifies
+  live only outside the table.
 * :func:`exhaustive_plan` — provable universality for tiny ``n`` by
   searching against *all* connected port-labeled graphs on at most ``n``
   nodes.  Exists to demonstrate the genuine article and to sanity-check the
   practical construction's semantics; ``n <= 4`` only.
 
 Both return :class:`~repro.uxs.sequence.UxsPlan`; results are memoised (the
-certification walk is pure).
+certification walk is pure).  The offsets come from :func:`splitmix_offsets`,
+vectorized with numpy (imported lazily, on the first plan built).
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.graphs import generators as gg
 from repro.graphs.enumeration import all_port_graphs
@@ -34,20 +40,22 @@ from repro.uxs.verify import (
     max_cover_step_all_starts,
 )
 
-__all__ = ["splitmix_offsets", "certification_battery", "practical_plan", "exhaustive_plan"]
+__all__ = [
+    "splitmix_offsets",
+    "certification_battery",
+    "certify_plan",
+    "practical_plan",
+    "tabled_length",
+    "exhaustive_plan",
+]
 
 #: Hard cap on the doubling search: comfortably beyond the random-walk
 #: cover-time regime (Θ(n^3) on the lollipop) for the sizes this repo runs.
 _LENGTH_CAP_FACTOR = 512
 
 
-def _splitmix64(state: int) -> Tuple[int, int]:
-    state = (state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    z = z ^ (z >> 31)
-    return state, z
+_MASK64 = 0xFFFF_FFFF_FFFF_FFFF
+_GAMMA = 0x9E37_79B9_7F4A_7C15
 
 
 def splitmix_offsets(n: int, length: int, stream: int = 0) -> Tuple[int, ...]:
@@ -56,13 +64,25 @@ def splitmix_offsets(n: int, length: int, stream: int = 0) -> Tuple[int, ...]:
     ``stream`` selects an alternative sequence for the same ``n`` (used by
     certification escalation); all robots must agree on it, so the library
     pins ``stream = 0`` everywhere outside tests.
+
+    The generator is splitmix64, which is counter-based: the ``i``-th state
+    (1-based) is ``s0 + i·γ mod 2^64``.  So every state, and every output
+    mix, is computed at once as a numpy ``uint64`` array, bit-identical to
+    stepping the generator one symbol at a time.
     """
-    out: List[int] = []
-    state = (0xA076_1D64_78BD_642F ^ (n * 0x9E37_79B9)) ^ (stream * 0xC2B2_AE35)
-    for _ in range(length):
-        state, z = _splitmix64(state)
-        out.append(z % max(n, 2))
-    return tuple(out)
+    import numpy as np  # lazy: importing repro.uxs stays numpy-free
+
+    seed = ((0xA076_1D64_78BD_642F ^ (n * 0x9E37_79B9)) ^ (stream * 0xC2B2_AE35)) & _MASK64
+    z = np.arange(1, length + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(seed)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58_476D_1CE4_E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D0_49BB_1331_11EB)
+    z ^= z >> np.uint64(31)
+    z %= np.uint64(max(n, 2))
+    return tuple(z.tolist())
 
 
 def certification_battery(n: int) -> List[PortGraph]:
@@ -100,15 +120,45 @@ def certification_battery(n: int) -> List[PortGraph]:
     return graphs
 
 
+def tabled_length(n: int, safety: int = 2, stream: int = 0) -> Optional[int]:
+    """The committed certified length ``T`` for ``(n, safety, stream)``, or
+    ``None`` when :data:`repro.uxs.table.CERTIFIED_T` does not hold it (the
+    table covers the default ``safety`` and ``stream`` only)."""
+    # imported here so ``python -m repro.uxs.table`` runs its own module
+    from repro.uxs.table import CERTIFIED_SAFETY, CERTIFIED_STREAM, CERTIFIED_T
+
+    if (safety, stream) != (CERTIFIED_SAFETY, CERTIFIED_STREAM):
+        return None
+    return CERTIFIED_T.get(n)
+
+
 @lru_cache(maxsize=None)
 def practical_plan(n: int, safety: int = 2, stream: int = 0) -> UxsPlan:
     """The certified practical exploration sequence for ``n``.
 
+    ``splitmix_offsets(n, T, stream)`` with ``T`` read from the committed
+    table of :func:`certify_plan` results (:mod:`repro.uxs.table`); any
+    ``(n, safety, stream)`` the table does not hold is certified live.
+    Either way the plan is identical to ``certify_plan(n, safety, stream)``
+    and memoised.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    t = tabled_length(n, safety, stream)
+    if t is None:
+        return certify_plan(n, safety, stream)
+    return UxsPlan(n, splitmix_offsets(n, t, stream=stream), provenance="practical")
+
+
+def certify_plan(n: int, safety: int = 2, stream: int = 0) -> UxsPlan:
+    """Certify the practical exploration sequence for ``n`` live.
+
     Doubling search starting at ``8·n^2·ceil(log2 n)``; once the battery is
     covered from all starts, the sequence is trimmed to ``safety`` times the
-    worst observed cover step (never below the worst step itself).  The
-    result is memoised; everything is a pure function of ``(n, safety,
-    stream)``.
+    worst observed cover step (never below the worst step itself).
+    Everything is a pure function of ``(n, safety, stream)``.  Not
+    memoised: this is the oracle that generates and re-checks
+    :mod:`repro.uxs.table`; callers want :func:`practical_plan`.
 
     Raises
     ------

@@ -24,6 +24,14 @@ class TestInformational:
         assert main(["plan", "--n", "8"]) == 0
         out = capsys.readouterr().out
         assert "length T" in out and "certified" in out
+        assert "source = certified table" in out
+
+    def test_plan_reports_live_certification_outside_the_table(self, capsys, monkeypatch):
+        from repro.uxs import table
+
+        monkeypatch.delitem(table.CERTIFIED_T, 8)
+        assert main(["plan", "--n", "8"]) == 0
+        assert "source = live certification" in capsys.readouterr().out
 
 
 class TestRun:

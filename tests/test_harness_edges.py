@@ -5,12 +5,13 @@ import pytest
 from repro.analysis.experiments import run_gathering, verify_uxs_for_graph
 from repro.core.undispersed import undispersed_gathering_program
 from repro.graphs import generators as gg
+from repro.runtime import graph_cache
 from repro.sim.actions import Action
 from repro.sim.errors import SimulationTimeout
 from repro.sim.robot import RobotSpec
 from repro.sim.world import World
 from repro.uxs.sequence import UxsPlan
-from repro.uxs.verify import UxsCertificationError
+from repro.uxs.verify import UxsCertificationError, covers_all_starts
 
 
 class TestUxsVerificationGate:
@@ -35,6 +36,54 @@ class TestUxsVerificationGate:
             lambda: undispersed_gathering_program(), uses_uxs=False,
         )
         assert rec.gathered
+
+    @staticmethod
+    def _count_walks(monkeypatch):
+        import repro.analysis.experiments as exps
+
+        walks = []
+
+        def counting(graph, offsets):
+            walks.append(graph)
+            return covers_all_starts(graph, offsets)
+
+        monkeypatch.setattr(exps, "covers_all_starts", counting)
+        return walks
+
+    def test_second_call_on_same_graph_does_no_cover_walk(self, monkeypatch):
+        walks = self._count_walks(monkeypatch)
+        g = gg.ring(8)
+        verify_uxs_for_graph(g)
+        verify_uxs_for_graph(g)
+        assert walks == [g]
+        # an equal but distinct graph object is walked on its own first use
+        verify_uxs_for_graph(gg.ring(8))
+        assert len(walks) == 2
+        graph_cache.clear()
+        verify_uxs_for_graph(g)
+        assert len(walks) == 3
+
+    def test_failure_is_never_memoized(self, monkeypatch):
+        import repro.analysis.experiments as exps
+
+        walks = self._count_walks(monkeypatch)
+        bogus = UxsPlan(8, (0, 0, 0), provenance="fixed")
+        monkeypatch.setattr(exps, "practical_plan", lambda n: bogus)
+        g = gg.ring(8)
+        for _ in range(2):
+            with pytest.raises(UxsCertificationError):
+                verify_uxs_for_graph(g)
+        assert len(walks) == 2
+
+    def test_memo_is_keyed_on_the_plan_too(self, monkeypatch):
+        import repro.analysis.experiments as exps
+
+        g = gg.ring(8)
+        verify_uxs_for_graph(g)  # the real plan covers g: memoized
+        bogus = UxsPlan(8, (0, 0, 0), provenance="fixed")
+        monkeypatch.setattr(exps, "practical_plan", lambda n: bogus)
+        with pytest.raises(UxsCertificationError):
+            verify_uxs_for_graph(g)
 
 
 class TestWorldOptions:

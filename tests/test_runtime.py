@@ -585,3 +585,58 @@ class TestGraphMemoEdges:
         g1 = graph_cache.graph_for("erdos_renyi", {"n": 9, "seed": 3})
         g2 = graph_cache.graph_for("erdos_renyi", {"seed": 3, "n": 9})
         assert g1 is g2
+
+
+class TestDefaultRoundCap:
+    """With ``max_rounds=None``, Faster-Gathering's cap is counted from the
+    end of its own six-step schedule, not from round 0: at n=64 the 4-hop
+    step alone ends after ~626M rounds, past ``DEFAULT_MAX_ROUNDS``."""
+
+    SPEC = RunSpec(
+        "faster",
+        "ring",
+        {"n": 64},
+        placement="pair-distance",
+        placement_args={"distance": 4},
+        k=2,
+        seed=0,
+    )
+
+    def test_resolved_cap_for_faster_only(self):
+        from repro.core.bounds import faster_gathering_boundaries
+        from repro.runtime.graph_cache import graph_for
+        from repro.runtime.spec import resolved_max_rounds
+        from repro.sim.world import DEFAULT_MAX_ROUNDS
+
+        graph = graph_for("ring", {"n": 64})
+        end = faster_gathering_boundaries(64)[-1]
+        assert end > DEFAULT_MAX_ROUNDS // 2
+        assert resolved_max_rounds(self.SPEC, graph) == end + DEFAULT_MAX_ROUNDS
+        uxs = RunSpec("uxs", "ring", {"n": 64})
+        assert resolved_max_rounds(uxs, graph) == DEFAULT_MAX_ROUNDS
+        pinned = RunSpec("faster", "ring", {"n": 64}, max_rounds=1000)
+        assert resolved_max_rounds(pinned, graph) == 1000
+
+    def test_four_hop_pair_gathers_under_default_cap(self):
+        from repro.sim.world import DEFAULT_MAX_ROUNDS
+
+        outcome = execute_spec(self.SPEC)
+        assert outcome.ok, outcome.error
+        run = outcome.run
+        assert run.min_pair_distance == 4
+        assert run.gathered and run.detected
+        assert run.rounds > DEFAULT_MAX_ROUNDS
+        # the cap is resolved at execution time: spec and cache key unchanged
+        assert outcome.spec.max_rounds is None
+        assert '"max_rounds":null' in self.SPEC.canonical_json()
+
+    def test_batch_path_uses_the_same_cap(self):
+        from dataclasses import replace
+
+        from repro.runtime.spec import BatchRunSpec, execute_batch_spec
+
+        specs = [replace(self.SPEC, seed=s) for s in (0, 1)]
+        outcomes = execute_batch_spec(BatchRunSpec.from_specs(specs))
+        assert [o.error for o in outcomes] == [None, None]
+        for outcome, spec in zip(outcomes, specs):
+            assert outcome.run == execute_spec(spec).run

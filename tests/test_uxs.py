@@ -1,15 +1,20 @@
 """Tests for universal exploration sequences (construction + verification)."""
 
+import pathlib
+
 import pytest
 
 from repro.graphs import generators as gg
 from repro.graphs.enumeration import all_port_graphs
 from repro.graphs.port_graph import PortGraph
+from repro.uxs import table
 from repro.uxs.generators import (
     certification_battery,
+    certify_plan,
     exhaustive_plan,
     practical_plan,
     splitmix_offsets,
+    tabled_length,
 )
 from repro.uxs.sequence import UxsPlan, exploration_walk, next_port
 from repro.uxs.verify import (
@@ -58,6 +63,79 @@ class TestSplitmix:
 
     def test_range(self):
         assert all(0 <= s < 12 for s in splitmix_offsets(12, 500))
+
+
+def _scalar_splitmix_offsets(n, length, stream=0):
+    """The scalar splitmix64 loop ``splitmix_offsets`` once was: the oracle
+    its vectorized form must match bit for bit."""
+    mask = 0xFFFFFFFFFFFFFFFF
+    out = []
+    state = (0xA076_1D64_78BD_642F ^ (n * 0x9E37_79B9)) ^ (stream * 0xC2B2_AE35)
+    for _ in range(length):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z = z ^ (z >> 31)
+        out.append(z % max(n, 2))
+    return tuple(out)
+
+
+class TestSplitmixBitExact:
+    @pytest.mark.parametrize("stream", [0, 1, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 64, 255, 256, 1000])
+    def test_matches_scalar_oracle(self, n, stream):
+        for length in (0, 1, 5, 4096):
+            fast = splitmix_offsets(n, length, stream=stream)
+            assert fast == _scalar_splitmix_offsets(n, length, stream)
+            assert all(type(s) is int for s in fast)
+
+    @pytest.mark.parametrize("n, T", [(2, 1), (3, 3), (4, 27)])
+    def test_exhaustive_plan_offsets_unchanged(self, n, T):
+        plan = exhaustive_plan(n)
+        assert plan.T == T
+        assert plan.offsets == _scalar_splitmix_offsets(n, T, stream=7)
+
+
+class TestCertifiedTable:
+    """The committed table must be exactly what ``certify_plan`` computes;
+    ``python -m repro.uxs.table --check`` re-certifies every entry."""
+
+    @pytest.mark.parametrize("n", range(1, 33))
+    def test_table_backed_plan_equals_live_certification(self, n):
+        live = certify_plan(n)
+        plan = practical_plan(n)
+        assert tabled_length(n) == live.T
+        assert plan.T == live.T
+        assert plan.offsets == live.offsets
+        assert plan.provenance == live.provenance == "practical"
+
+    def test_table_covers_every_n_up_to_128(self):
+        assert sorted(table.CERTIFIED_T) == list(range(1, table.TABLE_MAX_N + 1))
+
+    def test_committed_source_is_what_the_regenerator_writes(self):
+        source = pathlib.Path(table.__file__).read_text()
+        regenerated = table._BLOCK.sub(
+            lambda m: m.group(1) + table.render(table.CERTIFIED_T) + m.group(3), source
+        )
+        assert regenerated == source
+
+    def test_untabled_arguments_certify_live(self):
+        assert tabled_length(8, safety=3) is None
+        assert tabled_length(8, stream=1) is None
+        assert tabled_length(table.TABLE_MAX_N + 1) is None
+        plan = practical_plan(8, safety=3)
+        assert plan.offsets == certify_plan(8, safety=3).offsets
+        assert plan.T != practical_plan(8).T
+
+    def test_check_passes_on_the_committed_table(self, capsys):
+        assert table.main(["--check", "--max-n", "6"]) == 0
+        assert "checked 6 tabled n: 0 mismatch(es)" in capsys.readouterr().out
+
+    def test_check_fails_on_a_drifted_entry(self, monkeypatch, capsys):
+        monkeypatch.setitem(table.CERTIFIED_T, 5, table.CERTIFIED_T[5] + 1)
+        assert table.main(["--check", "--max-n", "6"]) == 1
+        assert "n=5: table says" in capsys.readouterr().out
 
 
 class TestVerify:
