@@ -11,8 +11,8 @@ output, not an assertion in prose (see ``docs/PERF.md``).
 The workload is a *kernel* benchmark: every robot runs a lean rotor walk
 (exit through ``entry_port + 1``, with pre-built :class:`Action` objects so
 per-step allocation in the robot program does not drown the scheduler under
-measurement).  Every robot moves every round — the worst case for the
-incremental occupancy bookkeeping, since every move invalidates caches.
+measurement).  Every robot moves every round — the worst case for
+occupancy bookkeeping, since every round changes the position set.
 Before timing, each (topology, n) cell is run once under both schedulers
 and their final positions and metrics are asserted equal, so the numbers
 always describe two implementations of the same semantics.

@@ -151,8 +151,8 @@ def execute(
     it never enters a spec or its cache key, and conforming backends
     produce bit-identical records, failures, and cache entries.
 
-    * scalar backends (``"reference"``, ``"incremental"``, ``"soa"``, or
-      ``None`` for the default) run every pending spec through
+    * scalar backends (``"reference"``, ``"soa"``, or ``None`` for the
+      default) run every pending spec through
       :func:`repro.runtime.spec.execute_spec` under that backend;
     * replica backends (``"batch-list"``, ``"batch-numpy"``) group pending
       specs that differ only by seed into lockstep replica batches

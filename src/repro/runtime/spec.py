@@ -330,7 +330,17 @@ def resolved_max_rounds(spec: RunSpec, graph: PortGraph) -> int:
     its cap is counted from the end of step 6, where the UXS fallback
     starts.  Resolved at execution time, so ``spec.max_rounds`` — and the
     cache key — stays ``None``.
+
+    A ``random_walk`` spec without ``stop_on_gather`` is refused with a
+    ``ValueError``: its program never terminates, so the run could only
+    step to the cap and time out.  This is the seam every execution path
+    (scalar and replica batch) shares.
     """
+    if spec.algorithm == "random_walk" and not spec.stop_on_gather:
+        raise ValueError(
+            "algorithm 'random_walk' never terminates; set stop_on_gather=True "
+            "to measure its first gathering round"
+        )
     if spec.max_rounds is not None:
         return spec.max_rounds
     if spec.algorithm == "faster":
@@ -544,6 +554,7 @@ def execute_batch_spec(batch: BatchRunSpec) -> List[RunOutcome]:
         if template.uses_uxs:
             verify_uxs_for_graph(graph)
         require_connected(graph)
+        max_rounds = resolved_max_rounds(template, graph)
     except Exception as exc:
         for i in fleet_idx:
             outcomes[i] = errored(specs[i], exc)
@@ -553,7 +564,7 @@ def execute_batch_spec(batch: BatchRunSpec) -> List[RunOutcome]:
         graph, fleets, strict=template.strict, backend=batch.backend
     )
     replica_outcomes = engine.run(
-        max_rounds=resolved_max_rounds(template, graph),
+        max_rounds=max_rounds,
         stop_on_gather=template.stop_on_gather,
     )
     memo = pair_memo_for(graph)  # shared per process; answers bit-identical

@@ -25,8 +25,8 @@ run would own.  The batch layer adds two things on top:
   integer-exact, so results are bit-identical either way (the differential
   suite runs both).
 * **A fused round loop** — the common regime of
-  :meth:`Scheduler._step_soa` (every due robot active, at most one shared
-  node, no pending wakes/followers/meet-sleepers, no self-loop) is inlined
+  :meth:`Scheduler._step_soa` (every due robot active, no pending
+  wakes/followers/meet-sleepers) is inlined
   here with the CSR bindings hoisted *once for all replicas* and the
   per-round scratch lists shared across replicas, eliminating the per-round
   call/allocation overhead a scalar loop pays R times.  Any round outside
@@ -354,7 +354,6 @@ class ReplicaBatch:
         scheds = self.scheds
         views = self._views
         outcomes = self.outcomes
-        fused_ok = not self.graph.csr.has_self_loop
         slice_budget = self.SLICE
         scratch = self._scratch
 
@@ -382,14 +381,13 @@ class ReplicaBatch:
                     if rnd > max_rounds:
                         raise sched._timeout_error()
 
-                    # --- regime gate (mirrors _step + _step_soa entry) ---
-                    # Wakes due or pending early-woken robots, followers,
-                    # meet-sleepers, or a self-loop graph: the replica's own
-                    # engine handles the round with full semantics.
+                    # --- regime gate -----------------------------------
+                    # Wakes due or pending early-woken robots, followers or
+                    # meet-sleepers: the replica's own scheduler handles the
+                    # round with full semantics.
                     heap = sched._wake_heap
                     if (
-                        not fused_ok
-                        or sched._woken
+                        sched._woken
                         or (heap and heap[0][0] <= rnd)
                         or sched._followers_of
                         or sched._meet_sleepers
@@ -401,8 +399,6 @@ class ReplicaBatch:
                         sched._step()  # fast-forward jump (or deadlock)
                         nxt.append(j)
                         continue
-                    if not sched._soa_auth:
-                        sched._states_to_soa()
 
                     # --- the hot slice -----------------------------------
                     # Everything that could end the fused regime at a known

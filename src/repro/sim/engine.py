@@ -1,10 +1,10 @@
 """The engine protocol: one simulation contract, N interchangeable backends.
 
-Four execution paths grew up in this repository — the seed
+Several execution paths grew up in this repository — the seed
 :class:`~repro.sim.reference.ReferenceScheduler` (the executable spec), the
-incremental general path, the struct-of-arrays hot loop (both inside
-:class:`~repro.sim.scheduler.Scheduler`), and the lockstep replica engine
-(:class:`~repro.sim.batch.ReplicaBatch`).  This module defines the contract
+struct-of-arrays round loop of :class:`~repro.sim.scheduler.Scheduler`, and
+the lockstep replica engines (:class:`~repro.sim.batch.ReplicaBatch` and
+its replica-major subclass).  This module defines the contract
 they all satisfy, so call sites select a backend by *name* instead of
 hard-coding a class:
 

@@ -6,8 +6,7 @@ Every execution path in the repository registers here under a stable name:
 name          implementation                                             notes
 ============= ========================================================== =====
 reference     :class:`~repro.sim.reference.ReferenceScheduler`           the executable spec; the conformance oracle
-incremental   ``Scheduler`` pinned to the general path (PR-2 regime)     incremental occupancy/card caches, no SoA rounds
-soa           :class:`~repro.sim.scheduler.Scheduler` (default)          dual-regime: SoA hot loop + general fallback
+soa           :class:`~repro.sim.scheduler.Scheduler` (default)          one struct-of-arrays round loop
 batch-list    :class:`~repro.sim.batch.ReplicaBatch` (list backend)      lockstep replicas, pure-Python bookkeeping
 batch-numpy   :class:`~repro.sim.batch.ReplicaBatch` (numpy backend)     lockstep replicas, vectorized bookkeeping
 batch-numpy2d :class:`~repro.sim.batch2d.Replica2DBatch`                 replica-major 2D kernels + scalar fallback
@@ -39,7 +38,6 @@ from repro.sim.world import DEFAULT_MAX_ROUNDS, package_result
 
 __all__ = [
     "DEFAULT_ENGINE",
-    "IncrementalScheduler",
     "get_engine",
     "list_engines",
     "register_engine",
@@ -103,19 +101,6 @@ def list_engines() -> List[str]:
 # ---------------------------------------------------------------------------
 
 
-class IncrementalScheduler(Scheduler):
-    """``Scheduler`` pinned to the incremental general path (PR-2 regime).
-
-    ``_uses_soa = False`` makes the :class:`~repro.sim.robot.RobotState`
-    facades authoritative from construction; ``_soa_enabled = False`` keeps
-    ``_step`` out of the SoA hot loop for every round.  Semantics are those
-    of the full scheduler — this class only forecloses the fast regime.
-    """
-
-    _uses_soa = False
-    _soa_enabled = False
-
-
 class _SchedulerEngine(Engine):
     """Adapter: one :class:`Scheduler` (sub)class as an :class:`Engine`.
 
@@ -149,7 +134,7 @@ class _SchedulerEngine(Engine):
         self._sched._step()
 
     def sync_state(self) -> None:
-        if self._sched._soa_auth:
+        if self._sched._uses_soa:
             self._sched._sync_states()
 
     def positions(self) -> Dict[int, int]:
@@ -181,19 +166,8 @@ class ReferenceEngine(_SchedulerEngine):
 
 
 @register_engine
-class IncrementalEngine(_SchedulerEngine):
-    """The incremental general path (PR-2), pinned for every round."""
-
-    name = "incremental"
-    capabilities = EngineCapabilities(
-        supports_activation=True, supports_tracing=True, supports_replay=True
-    )
-    scheduler_cls = IncrementalScheduler
-
-
-@register_engine
 class SoAEngine(_SchedulerEngine):
-    """The default dual-regime scheduler (SoA hot loop + general fallback)."""
+    """The default scheduler: one struct-of-arrays round loop."""
 
     name = "soa"
     capabilities = EngineCapabilities(

@@ -48,7 +48,7 @@ class ReferenceScheduler(Scheduler):
     but overrides the whole per-round machinery — ``_step``, ``_wake_due``,
     ``_apply_card``, ``_terminate``, the cascade and the ``all_*`` queries —
     with the seed versions, so benchmark comparisons measure the true
-    pre-fast-path cost (the fast path's incremental caches initialized by
+    pre-fast-path cost (the fast path's arrays and counters initialized by
     ``__init__`` simply go unused here).
     """
 

@@ -41,26 +41,28 @@ Plain lists are deliberately chosen over ``array``/numpy: indexing an
 ``array('l')`` boxes a fresh int per read, and numpy cannot help a loop
 that must call a Python generator per element (see ``docs/PERF.md``).
 
-Two regimes share those arrays:
+One round loop (:meth:`_step_soa`) executes every round.  It applies
+moves *inline* during the observation sweep (legal because an observation
+depends on other robots only through start-of-round occupancy, which is
+read from pre-round state), detects co-location with one C-level
+``set(pos)`` per round instead of per-move occupancy bookkeeping, and
+resolves the dominant "one shared node" case with a closed-form duplicate
+extraction (``sum(pos) - sum(prev_pos_set)``).  Everything beyond plain
+moves and stays is paid for only when present:
 
-* the **SoA hot loop** (:meth:`_step_soa`) runs whenever a round needs no
-  tracing, no activation policy, has no persistent followers, no
-  ``wake_on_meet`` sleepers, and the graph has no self-loop.  It applies
-  moves *inline* during the observation sweep (legal because an
-  observation depends on other robots only through start-of-round
-  occupancy, which is read from pre-round state), detects co-location with
-  one C-level ``set(pos)`` per round instead of per-move occupancy
-  bookkeeping, and resolves the dominant "one shared node" case with a
-  closed-form duplicate extraction (``sum(pos) - sum(prev_pos_set)``).
-  Rare action kinds (sleep/follow/terminate/cards) drop into cold helpers
-  that reconstruct whatever the inline sweep skipped.
-* the **general path** (the pre-SoA incremental engine, preserved in
-  :meth:`_step_general`) handles traced runs, activation models, and
-  follower/meet rounds with per-node occupant lists and card-tuple caches.
+* rare action kinds (sleep/follow/terminate/cards/notes) drop into the
+  cold helper :meth:`_soa_cold`, which also records their trace events;
+* persistent followers, ``wake_on_meet`` sleepers and tracing switch on
+  *mover tracking* for the whole round — the ``(rid, port)`` list that
+  follow resolution, the meet wake-up scan and the ``move`` trace events
+  read.  Without them the sweep records nothing, and a follow or
+  meet-sleep appearing mid-sweep reconstructs the movers so far from the
+  pre-round positions.
 
-``RobotState`` attribute state is synchronized with the arrays only at
-regime transitions and run boundaries (the "facade at the trace boundary"):
-``_soa_to_states`` / ``_states_to_soa`` are O(k) and transitions are rare.
+``RobotState`` position attributes (node, entry port, moves, active rounds)
+are copied from the arrays only at run boundaries and on request
+(:meth:`_sync_states`, the "facade at the trace boundary"); statuses, wake
+rounds and leaders live on the facades throughout.
 Wake-ups are driven by a precomputed **wake schedule** — a min-heap of
 ``(wake_round, rid)`` pushed at sleep/follow time — so rounds where nobody
 is due skip the per-robot wake scan entirely, and fast-forward jumps read
@@ -70,6 +72,8 @@ Activation models (:mod:`repro.sim.activation`) weaken the synchronous
 discipline: when one is installed, the due-robot list is filtered through
 ``model.select`` before observation.  ``activation=None`` (the default)
 skips the policy entirely, preserving the pinned synchronous semantics.
+Models receive the due robots' facades and select by ``label``/``rid``;
+the facades' position attributes are not current mid-run.
 """
 
 from __future__ import annotations
@@ -106,12 +110,6 @@ class Scheduler:
     #: set this to ``False``; the arrays then exist but are never trusted.
     _uses_soa = True
 
-    #: Whether ``_step`` may enter the struct-of-arrays hot loop at all.
-    #: The ``incremental`` engine backend (:mod:`repro.sim.engines`) sets
-    #: this to ``False`` to pin the general path for every round — the
-    #: PR-2 execution regime, kept addressable for differential testing.
-    _soa_enabled = True
-
     def __init__(
         self,
         graph: PortGraph,
@@ -146,29 +144,13 @@ class Scheduler:
         self.round = 0
         self.metrics = RunMetrics()
 
-        # --- general-path state (invariants in docs/PERF.md) ----------
+        # --- status bookkeeping (invariants in docs/PERF.md) -----------
         self._csr = graph.csr
-        if type(self)._uses_soa:
-            # SoA schedulers never read the initial occupancy structures:
-            # every general-path entry rebuilds them via _soa_to_states.
-            # Deferring the build skips O(n) list allocations per
-            # construction — replica campaigns construct many schedulers.
-            self._occ: List[List[RobotState]] = []
-            self._cards: List[Optional[Tuple[dict, ...]]] = []
-        else:
-            # occupants per node, kept sorted by label (self.robots is
-            # label-sorted, so the initial append order is already sorted)
-            occ: List[List[RobotState]] = [[] for _ in range(graph.n)]
-            for r in self.robots:
-                occ[r.node].append(r)
-            self._occ = occ
-            # cached card tuple per node; None = dirty (rebuilt on demand)
-            self._cards = [None] * graph.n
         # reverse index: leader label -> persistent followers (label-sorted
         # is not required; cascade/propagation order is label-sorted where
         # it matters)
         self._followers_of: Dict[int, List[RobotState]] = {}
-        # robots currently SLEEPING with wake_on_meet; while zero, the move
+        # robots currently SLEEPING with wake_on_meet; while zero, the round
         # loop skips arrival tracking entirely
         self._meet_sleepers = 0
         self._alive = len(self.robots)
@@ -200,10 +182,6 @@ class Scheduler:
         # rids flagged woken_early (meet arrivals, leader-terminated wakes)
         # since the last wake processing
         self._woken: List[int] = []
-        # whether the arrays (True) or RobotState attributes (False) are
-        # authoritative right now; flipped at regime transitions
-        self._soa_auth = type(self)._uses_soa
-        self._has_selfloop = self._csr.has_self_loop
 
         self._prime()
 
@@ -224,11 +202,11 @@ class Scheduler:
     def positions(self) -> Dict[int, int]:
         """label -> node, for every robot (terminated included).
 
-        Derived straight from the position array while the SoA engine is
-        authoritative — one C-level ``zip`` instead of a per-robot
-        attribute walk (replay snapshots call this every round).
+        Derived straight from the position array — one C-level ``zip``
+        instead of a per-robot attribute walk (replay snapshots call this
+        every round).
         """
-        if self._soa_auth:
+        if self._uses_soa:
             return dict(zip(self._labels, self._pos))
         return {r.label: r.node for r in self.robots}
 
@@ -238,11 +216,11 @@ class Scheduler:
 
     def all_gathered(self) -> bool:
         """O(1) counter check: are all robots on one node?"""
-        # _occupied is maintained by both regimes; == 1 iff co-located
+        # _occupied is committed every round; == 1 iff co-located
         return self._occupied == 1
 
     # ------------------------------------------------------------------
-    # Array <-> facade synchronization (regime transitions only)
+    # Deferred counters and array -> facade synchronization
     # ------------------------------------------------------------------
     def _flush_ar(self) -> None:
         """Apply the deferred active-round increments to the ar array."""
@@ -265,32 +243,6 @@ class Scheduler:
             r.entry_port = entry[i]
             r.moves = moves[i]
             r.active_rounds = ar[i]
-
-    def _soa_to_states(self) -> None:
-        """SoA -> general transition: facades + occupancy become current."""
-        self._sync_states()
-        occ: List[List[RobotState]] = [[] for _ in range(self.graph.n)]
-        for r in self.robots:  # label order => occupant lists stay sorted
-            occ[r.node].append(r)
-        self._occ = occ
-        self._cards = [None] * self.graph.n
-        self._soa_auth = False
-
-    def _states_to_soa(self) -> None:
-        """General -> SoA transition: arrays rebuilt from the facades."""
-        pos = self._pos
-        entry = self._entry
-        moves = self._moves
-        ar = self._ar
-        own = self._own
-        for i, r in enumerate(self.robots):
-            pos[i] = r.node
-            entry[i] = r.entry_port
-            moves[i] = r.moves
-            ar[i] = r.active_rounds
-            own[i] = (r.card,)
-        self._posset = set(pos)
-        self._soa_auth = True
 
     # ------------------------------------------------------------------
     # Main loop
@@ -325,7 +277,7 @@ class Scheduler:
         """Sync facades and fill the end-of-run metrics.  ``run`` calls this
         once its loop exits; the batched replica driver calls it when it
         retires a replica — one code path, identical metrics either way."""
-        if self._soa_auth:
+        if self._uses_soa:
             self._sync_states()
         self.metrics.rounds = self.round
         self.metrics.gathered_at_end = self.all_gathered()
@@ -431,26 +383,32 @@ class Scheduler:
                 self.trace.record(self.round, "jump", None, nxt)
             self.round = max(self.round + 1, nxt)
             return
-
-        if (
-            self._soa_enabled
-            and self.activation is None
-            and self.trace is None
-            and not self._followers_of
-            and self._meet_sleepers == 0
-            and not self._has_selfloop
-        ):
-            self._step_soa(active_rids)
-            return
-        self._step_general(active_rids)
+        self._step_soa(active_rids)
 
     # ------------------------------------------------------------------
-    # The SoA hot loop
+    # The round loop
     # ------------------------------------------------------------------
     def _step_soa(self, active: List[int]) -> None:
-        if not self._soa_auth:
-            self._states_to_soa()
         rnd = self.round
+        activation = self.activation
+        if activation is None:
+            self._ar_pending += 1
+        else:
+            # Weaker-than-synchronous models act here; robots not selected
+            # stay awake and unobserved until a later round.  A model that
+            # selects nobody while robots are due would stall the run
+            # forever, so that contract violation is rejected loudly.
+            robots = self.robots
+            selected = activation.select([robots[i] for i in active], rnd)
+            if not selected:
+                raise ProtocolViolation(
+                    f"activation model {activation.describe()!r} selected "
+                    f"no robot at round {rnd} with {len(active)} due"
+                )
+            active = [r.rid for r in selected]
+            ar = self._ar
+            for i in active:
+                ar[i] += 1
         csr = self._csr
         row = csr.row_offsets
         nbr = csr.neighbor
@@ -503,15 +461,15 @@ class Scheduler:
                     shared_cards[node] = tuple(own[j][0] for j in rids)
                 t += 1
 
-        # Cold actions (follow/meet-sleep) may need this round's movers,
-        # which the inline sweep does not record; keep the pre-round state
-        # so they can be reconstructed exactly (no self-loops in SoA mode,
-        # so "position changed" <=> "moved", and the entry port pins the
-        # unique edge taken).
+        # Followers, meet-sleepers and the trace need this round's movers.
+        # Without them the inline sweep records none, and a cold action
+        # that starts needing them reconstructs them from the pre-round
+        # positions (see _soa_reconstruct_movers).
         prev_pos = pos[:]
-        self._ar_pending += 1
-
-        track = False
+        trace = self.trace
+        track = (
+            trace is not None or bool(self._followers_of) or self._meet_sleepers > 0
+        )
         movers_i: List[int] = []
         movers_p: List[int] = []
         terminators: List[int] = []
@@ -619,7 +577,13 @@ class Scheduler:
             for rid in deactivated:
                 self._active.remove(rid)
 
-        # --- resolve follows (rare: only when created this round) ------
+        # movers' trace events precede their followers' (seed order)
+        if trace is not None:
+            labels = self._labels
+            for i, p in zip(movers_i, movers_p):
+                trace.record(rnd, "move", labels[i], (p, entry[i]))
+
+        # --- resolve follows -------------------------------------------
         if followers_once or self._followers_of:
             self._soa_resolve_follows(movers_i, movers_p, followers_once)
 
@@ -628,13 +592,13 @@ class Scheduler:
         self._posset = ps
         self._occupied = len(ps)
 
-        # --- wake meet-sleepers created this round on arrivals ---------
-        if meet_new:
+        # --- wake meet-sleepers on arrivals ----------------------------
+        if self._meet_sleepers and movers_i:
             arrivals = {pos[j] for j in movers_i}
             woken = self._woken
-            for rid in meet_new:
-                if pos[rid] in arrivals:
-                    self.robots[rid].woken_early = True
+            for rid, r in enumerate(self.robots):
+                if r.status == SLEEPING and r.wake_on_meet and pos[rid] in arrivals:
+                    r.woken_early = True
                     woken.append(rid)
 
         # --- terminations + cascade ------------------------------------
@@ -657,7 +621,7 @@ class Scheduler:
     def _soa_publish(self, i: int, action: Action) -> None:
         """Card publication from the hot loop: facade + own-tuple update.
 
-        Deferred-invalidation reasoning from the general path still holds:
+        Cards are "as of the start of the round" without any invalidation:
         the publisher's own observation already happened, any co-located
         robot's card tuple was snapshotted at round start, and next round
         rebuilds from the new ``own`` tuple.
@@ -671,9 +635,10 @@ class Scheduler:
     ) -> Tuple[List[int], List[int]]:
         """Recover (rid, port) for every robot that has moved this round.
 
-        Only called when a follow/meet-sleep action appears mid-sweep.  With
-        no self-loops (a SoA-mode precondition), ``pos != prev_pos`` is
-        exactly "moved", and (destination, entry port) identifies the edge
+        Only called when a follow/meet-sleep action appears mid-sweep of an
+        untracked round.  ``pos != prev_pos`` is exactly "moved" because the
+        :class:`~repro.graphs.port_graph.PortGraph` constructor refuses
+        self-loops, and (destination, entry port) identifies the edge
         uniquely, hence the departure port.
         """
         movers_i: List[int] = []
@@ -716,12 +681,17 @@ class Scheduler:
         Returns the (possibly enabled) mover-tracking flag: follow and
         meet-sleep actions need this round's movers, so on their first
         appearance the movers applied so far are reconstructed and tracking
-        stays on for the rest of the sweep.  (Notes are trace-only and the
-        SoA regime never runs traced, so they are ignored here.)
+        stays on for the rest of the sweep.  Note, sleep and follow trace
+        events are recorded here, in sweep order.  ``meet_new`` collects
+        this round's meet-sleepers for the replica-batch slices
+        (:mod:`repro.sim.batch`); the round loop scans all meet-sleepers.
         """
         r = self.robots[i]
         if action.card is not None:
             self._soa_publish(i, action)
+        trace = self.trace
+        if action.note and trace is not None:
+            trace.record(rnd, "note", r.label, action.note)
         kind = action.kind
         if kind == MOVE:
             p = action.port
@@ -763,6 +733,8 @@ class Scheduler:
             deactivated.append(i)
             if action.wake_round is not None:
                 heapq.heappush(self._wake_heap, (action.wake_round, i))
+            if trace is not None:
+                trace.record(rnd, "sleep", r.label, action.wake_round)
             if action.wake_on_meet:
                 self._meet_sleepers += 1
                 meet_new.append(i)
@@ -783,6 +755,8 @@ class Scheduler:
             if action.wake_round is not None:
                 heapq.heappush(self._wake_heap, (action.wake_round, i))
             self._followers_of.setdefault(action.target, []).append(r)
+            if trace is not None:
+                trace.record(rnd, "follow", r.label, action.target)
             if not track:
                 mi, mp = self._soa_reconstruct_movers(prev_pos)
                 movers_i[:] = mi
@@ -825,13 +799,18 @@ class Scheduler:
         movers_p: List[int],
         followers_once: List[int],
     ) -> None:
-        """Follow resolution + application for SoA rounds.
+        """Follow resolution + application.
 
-        Same iterative propagation as the general path: chains ending in
-        this round's movers inherit the port; everything else stays.
-        Follower moves apply after the (already-applied) movers, in label
-        order, with the same validation and partial-application semantics
-        on invalid inherited ports.
+        Iterative forward propagation from this round's movers over the
+        reverse leader->followers index: a follower chain ending in a mover
+        inherits its port; chains ending anywhere else (stay, sleep,
+        terminate, cycle) stay put, so they never need visiting.  Follower
+        moves apply after the (already-applied) movers, in label order —
+        the reference scheduler's application order — each validated (and
+        traced) as it applies: a non-co-located follower (possible in
+        non-strict mode) can inherit a port its own node lacks, and raising
+        mid-application leaves the same partially-applied state and error
+        as the seed scheduler's ``graph.traverse``.
         """
         robots = self.robots
         followers_of = self._followers_of
@@ -864,6 +843,7 @@ class Scheduler:
         nbr = self._csr.neighbor
         ent = self._csr.entry_port
         deg = self._csr.degree
+        trace = self.trace
         for fid, port in assigned:
             node = pos[fid]
             if not 0 <= port < deg[node]:
@@ -876,258 +856,11 @@ class Scheduler:
             mvs[fid] += 1
             movers_i.append(fid)
             movers_p.append(port)
-
-    # ------------------------------------------------------------------
-    # The general path (the pre-SoA incremental engine)
-    # ------------------------------------------------------------------
-    def _step_general(self, active_rids: List[int]) -> None:
-        if self._soa_auth:
-            self._soa_to_states()
-        robots = self.robots
-        active = [robots[i] for i in active_rids]
-
-        if self.activation is not None:
-            # Weaker-than-synchronous models act here; robots not selected
-            # stay awake and unobserved until a later round.  A model that
-            # selects nobody while robots are due would stall the run
-            # forever, so that contract violation is rejected loudly.
-            selected = self.activation.select(active, self.round)
-            if not selected:
-                raise ProtocolViolation(
-                    f"activation model {self.activation.describe()!r} selected "
-                    f"no robot at round {self.round} with {len(active)} due"
-                )
-            active = selected
-
-        trace = self.trace
-        rnd = self.round
-        csr = self._csr
-        row = csr.row_offsets
-        nbr_arr = csr.neighbor
-        ent_arr = csr.entry_port
-        deg_arr = csr.degree
-        occ_lists = self._occ
-        cards_cache = self._cards
-
-        # --- observation & compute -----------------------------------
-        # Cards are "as of the start of the round".  A node's card tuple is
-        # built lazily at its *first* active occupant's observation — which
-        # runs before any program on that node has acted, and only
-        # co-located programs can publish to a node, so the lazy build
-        # always sees pre-round cards.  Card publications therefore defer
-        # their cache invalidation to after the compute loop.
-        # movers as two parallel lists: iterating them with zip() reuses
-        # the yielded pair tuple, where a list of (robot, port) tuples
-        # would allocate one per mover per round
-        movers_r: List[RobotState] = []
-        movers_p: List[int] = []
-        followers_once: List[RobotState] = []
-        terminators: List[RobotState] = []
-        published: List[int] = []  # nodes with a card published this round
-
-        for r in active:  # already in label order
-            node = r.node
-            cards = cards_cache[node]
-            if cards is None:
-                occ = occ_lists[node]
-                # occupant lists are label-sorted; no re-sort needed
-                cards = (occ[0].card,) if len(occ) == 1 else tuple(x.card for x in occ)
-                cards_cache[node] = cards
-            r.active_rounds += 1
-            try:
-                action = r.send(Observation(rnd, deg_arr[node], r.entry_port, cards))
-            except StopIteration:
-                raise ProtocolViolation(
-                    f"robot {r.label}: program returned without terminating"
-                ) from None
-            if action is None:
-                raise ProtocolViolation(f"robot {r.label}: yielded None instead of an Action")
-            if action.card is not None:
-                self._apply_card(r, action)
-                published.append(r.node)
-            if action.note and trace is not None:
-                trace.record(rnd, "note", r.label, action.note)
-
-            kind = action.kind
-            if kind == MOVE:  # tested first: the hot kind by far
-                port = action.port
-                # reject None before the range check; `port or 0` would
-                # treat port 0 and None alike
-                if port is None or not 0 <= port < deg_arr[r.node]:
-                    raise ProtocolViolation(
-                        f"robot {r.label}: invalid port {port} on a degree-"
-                        f"{deg_arr[r.node]} node"
-                    )
-                movers_r.append(r)
-                movers_p.append(port)
-            elif kind == STAY:
-                pass
-            elif kind == SLEEP:
-                if action.wake_round is not None and action.wake_round <= rnd:
-                    raise ProtocolViolation(
-                        f"robot {r.label}: sleep until round {action.wake_round} "
-                        f"is not in the future (now {rnd})"
-                    )
-                if action.wake_round is None and not action.wake_on_meet:
-                    raise ProtocolViolation(
-                        f"robot {r.label}: unwakeable forever-sleep"
-                    )
-                r.status = SLEEPING
-                r.wake_round = action.wake_round
-                r.wake_on_meet = action.wake_on_meet
-                self._dormant += 1
-                self._active.remove(r.rid)
-                if action.wake_round is not None:
-                    heapq.heappush(self._wake_heap, (action.wake_round, r.rid))
-                if action.wake_on_meet:
-                    self._meet_sleepers += 1
-                if trace is not None:
-                    trace.record(rnd, "sleep", r.label, action.wake_round)
-            elif kind == FOLLOW:
-                self._check_follow_target(r, action.target)
-                r.status = FOLLOWING
-                r.leader_label = action.target
-                r.wake_round = action.wake_round
-                r.on_leader_terminate = action.on_leader_terminate
-                self._dormant += 1
-                self._active.remove(r.rid)
-                if action.wake_round is not None:
-                    heapq.heappush(self._wake_heap, (action.wake_round, r.rid))
-                self._followers_of.setdefault(action.target, []).append(r)
-                if trace is not None:
-                    trace.record(rnd, "follow", r.label, action.target)
-            elif kind == FOLLOW_ONCE:
-                self._check_follow_target(r, action.target)
-                r.leader_label = action.target
-                followers_once.append(r)
-            elif kind == TERMINATE:
-                terminators.append(r)
-            else:  # pragma: no cover - factory methods make this unreachable
-                raise ProtocolViolation(f"robot {r.label}: unknown action kind {kind}")
-
-        # deferred card-publication invalidation (see loop comment above)
-        for node in published:
-            cards_cache[node] = None
-
-        # --- resolve follows ------------------------------------------
-        # Iterative forward propagation from this round's movers over the
-        # reverse leader->followers index: a follower chain ending in a
-        # mover inherits its port; chains ending anywhere else (stay,
-        # sleep, terminate, cycle) stay put, so they never need visiting.
-        followers_of = self._followers_of
-        assigned: Optional[List[Tuple[RobotState, int]]] = None
-        if followers_of or followers_once:
-            once_by_leader: Dict[int, List[RobotState]] = {}
-            for f in followers_once:
-                once_by_leader.setdefault(f.leader_label, []).append(f)
-            assigned = []
-            stack = list(zip(movers_r, movers_p))
-            while stack:
-                r, port = stack.pop()
-                label = r.label
-                fs = followers_of.get(label)
-                if fs:
-                    for f in fs:
-                        assigned.append((f, port))
-                        stack.append((f, port))
-                fs = once_by_leader.get(label)
-                if fs:
-                    for f in fs:
-                        assigned.append((f, port))
-                        stack.append((f, port))
-            # one-round follows release leadership after resolution
-            for f in followers_once:
-                f.leader_label = None
-            # movers apply first (label order), then followers in label
-            # order — the application order of the reference scheduler
-            assigned.sort(key=_moving_label)
-
-        # --- apply moves simultaneously --------------------------------
-        # Arrival tracking only matters while a wake_on_meet sleeper
-        # exists; tracing is hoisted out of the loop entirely.
-        meet_watch = self._meet_sleepers > 0
-        arrivals = set()
-        occupied = self._occupied
-        if trace is None:
-            for r, port in zip(movers_r, movers_p):
-                old = r.node
-                i = row[old] + port
-                new = nbr_arr[i]
-                ol = occ_lists[old]
-                ol.remove(r)
-                cards_cache[old] = None
-                if not ol:
-                    occupied -= 1
-                nl = occ_lists[new]
-                if nl:
-                    lab = r.label
-                    j = len(nl)
-                    while j and nl[j - 1].label > lab:
-                        j -= 1
-                    nl.insert(j, r)
-                else:
-                    nl.append(r)
-                    occupied += 1
-                cards_cache[new] = None
-                r.node = new
-                r.entry_port = ent_arr[i]
-                r.moves += 1
-                if meet_watch:
-                    arrivals.add(new)
-            self._occupied = occupied
-        else:
-            # traced path: _apply_move maintains self._occupied directly
-            for r, port in zip(movers_r, movers_p):
-                entry = self._apply_move(r, port, arrivals, meet_watch)
-                trace.record(rnd, "move", r.label, (port, entry))
-        # follower moves (rare path, so per-event trace checks are fine):
-        # validated here, in application order, because a non-co-located
-        # follower (possible in non-strict mode) can inherit a port its own
-        # node lacks and the raw CSR indexing must never see it.  Raising
-        # mid-application leaves the same partially-applied state and error
-        # as the seed scheduler's graph.traverse.
-        if assigned:
-            for f, port in assigned:
-                if not 0 <= port < deg_arr[f.node]:
-                    raise PortGraphError(
-                        f"node {f.node} has degree {deg_arr[f.node]}; port {port} is invalid"
-                    )
-                entry = self._apply_move(f, port, arrivals, meet_watch)
-                if trace is not None:
-                    trace.record(rnd, "move", f.label, (port, entry))
-
-        # --- wake sleepers on arrivals ---------------------------------
-        if arrivals:
-            woken = self._woken
-            for r in self.robots:
-                if (
-                    r.status == SLEEPING
-                    and r.wake_on_meet
-                    and r.node in arrivals
-                ):
-                    r.woken_early = True
-                    woken.append(r.rid)
-
-        # --- terminations + cascade ------------------------------------
-        if terminators:
-            for r in terminators:
-                self._terminate(r)
-            self._cascade_terminations()
-
-        # --- bookkeeping ------------------------------------------------
-        metrics = self.metrics
-        if metrics.first_gather_round is None and self._occupied == 1:
-            metrics.first_gather_round = rnd
-        if self.replay is not None:
-            self.replay.snapshot(rnd, self.positions())
-        metrics.rounds_executed += 1
-        self.round = rnd + 1
+            if trace is not None:
+                trace.record(self.round, "move", robots[fid].label, (port, ent[slot]))
 
     # ------------------------------------------------------------------
     def _apply_card(self, r: RobotState, action: Action) -> None:
-        # NB: does *not* invalidate the node's card cache — the hot loop
-        # defers that until every active robot has observed (cards are
-        # "as of the start of the round")
         if action.card is not None:
             card = dict(action.card)
             card["id"] = r.label  # the label is not forgeable
@@ -1145,43 +878,6 @@ class Scheduler:
             raise ProtocolViolation(
                 f"robot {r.label}: follow target {target} is not co-located"
             )
-
-    def _apply_move(self, r: RobotState, port: int, arrivals: set, meet_watch: bool) -> int:
-        """Apply one resolved move with full occupancy/cache bookkeeping.
-
-        Cold-path helper (traced movers and follower moves); the untraced
-        mover loop in ``_step_general`` inlines the same logic over local
-        bindings.  Returns the entry port for trace recording.
-        """
-        csr = self._csr
-        old = r.node
-        i = csr.row_offsets[old] + port
-        new = csr.neighbor[i]
-        entry = csr.entry_port[i]
-        occ_lists = self._occ
-        cards_cache = self._cards
-        ol = occ_lists[old]
-        ol.remove(r)
-        cards_cache[old] = None
-        if not ol:
-            self._occupied -= 1
-        nl = occ_lists[new]
-        if nl:
-            lab = r.label
-            j = len(nl)
-            while j and nl[j - 1].label > lab:
-                j -= 1
-            nl.insert(j, r)
-        else:
-            nl.append(r)
-            self._occupied += 1
-        cards_cache[new] = None
-        r.node = new
-        r.entry_port = entry
-        r.moves += 1
-        if meet_watch:
-            arrivals.add(new)
-        return entry
 
     def _unfollow(self, r: RobotState) -> None:
         """Drop ``r`` from the reverse leader->followers index."""
@@ -1253,6 +949,3 @@ class Scheduler:
                 f.woken_early = True
                 self._woken.append(f.rid)
 
-
-def _moving_label(entry: Tuple[RobotState, int]) -> int:
-    return entry[0].label

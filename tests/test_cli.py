@@ -138,7 +138,7 @@ class TestEngineFlag:
         argv = ["sweep", "--ns", "8", "12", "--workers", "1"]
         assert main(argv) == 0
         default_table = table(capsys.readouterr().out.splitlines())
-        for name in ("reference", "incremental", "soa"):
+        for name in ("reference", "soa"):
             assert main(argv + ["--engine", name]) == 0
             lines = capsys.readouterr().out.splitlines()
             assert table(lines) == default_table, name

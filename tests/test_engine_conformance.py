@@ -453,7 +453,7 @@ def test_registered_name_and_capabilities_are_honest_declarations(engine):
 
 
 def test_expected_backends_present():
-    assert {"reference", "incremental", "soa", "batch-list"} <= set(ENGINES)
+    assert {"reference", "soa", "batch-list"} <= set(ENGINES)
     assert ("batch-numpy" in ENGINES) == HAVE_NUMPY
     assert ("batch-numpy2d" in ENGINES) == HAVE_NUMPY
     assert DEFAULT_ENGINE in ENGINES

@@ -1,8 +1,8 @@
 """The fast path is bit-identical to the seed scheduler.
 
-:mod:`repro.sim.scheduler` rewrote the round hot loop (incremental
-occupancy, card-tuple caching, iterative follow resolution, single-pass
-cascade, hoisted tracing).  This module runs the optimized
+:mod:`repro.sim.scheduler` rewrote the round hot loop (struct-of-arrays
+state, inline move application, iterative follow resolution, single-pass
+cascade, a precomputed wake schedule).  This module runs the optimized
 :class:`~repro.sim.scheduler.Scheduler` and the seed
 :class:`~repro.sim.reference.ReferenceScheduler` side by side and asserts
 **exact** equality of
@@ -39,6 +39,7 @@ from repro.sim.robot import RobotSpec
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import TraceRecorder
 from tests.conftest import (
+    activation_strategy,
     fault_plan_strategy,
     scaled_examples,
     script_strategy,
@@ -124,12 +125,13 @@ def run_both_untraced(
     activation="sync",
     activation_args=None,
 ):
-    """Differential run with ``trace=None`` — the SoA hot-loop regime.
+    """Differential run with ``trace=None``.
 
-    Tracing forces the general path, so :func:`run_both` alone would never
-    execute the struct-of-arrays sweep; this variant compares everything
-    *except* traces (positions, round counter, statuses, full metrics).
-    Activation models are stateful, so each scheduler gets a fresh one.
+    Untraced rounds track movers only when followers or meet-sleepers need
+    them, so this is a different sweep from :func:`run_both`'s; this
+    variant compares everything *except* traces (positions, round counter,
+    statuses, full metrics).  Activation models are stateful, so each
+    scheduler gets a fresh one.
     """
     digests = []
     for cls in (Scheduler, ReferenceWithActivation):
@@ -415,13 +417,29 @@ def test_stop_on_gather_runs_match():
 # ---------------------------------------------------------------------------
 
 
+def _traced_outcome(cls, graph, specs, activation, activation_args, max_rounds):
+    """One traced run: its final state, or the exception it raised."""
+    trace = TraceRecorder()
+    model = build_activation(activation, dict(activation_args))
+    sched = cls(graph, specs, trace=trace, activation=model)
+    try:
+        sched.run(max_rounds=max_rounds)
+    except Exception as exc:
+        return ("raised", type(exc).__name__, str(exc), trace.events)
+    return ("finished", _state_digest(sched), trace.events)
+
+
 @given(
     st.integers(0, 3),
     st.lists(script_strategy, min_size=1, max_size=4),
+    activation_strategy(),
     st.data(),
 )
 @settings(max_examples=scaled_examples(100), deadline=None)
-def test_scripted_robots_bit_identical(graph_pick, scripts, data):
+def test_scripted_robots_bit_identical(graph_pick, scripts, activation, data):
+    """Scripted sleeps, meet-sleeps and cards under every activation model,
+    traced: both schedulers finish identically (trace, positions, statuses,
+    metrics) or raise the same exception after the same trace."""
     graph = [gg.ring(6), gg.path(5), gg.star(6), gg.erdos_renyi(7, seed=3)][graph_pick]
     starts = [
         data.draw(st.integers(0, graph.n - 1), label=f"start{i}")
@@ -434,14 +452,19 @@ def test_scripted_robots_bit_identical(graph_pick, scripts, data):
             for i, (s, sc) in enumerate(zip(starts, scripts))
         ]
 
-    run_both(graph, make_specs, max_rounds=10_000)
+    name, options = activation
+    fast, ref = (
+        _traced_outcome(cls, graph, make_specs(), name, options, 10_000)
+        for cls in (Scheduler, ReferenceWithActivation)
+    )
+    assert fast == ref
 
 
 # ---------------------------------------------------------------------------
-# Untraced differential: the SoA hot loop on real algorithms
+# Untraced differential: the round loop without a trace on real algorithms
 # ---------------------------------------------------------------------------
-# Tracing forces the general path, so the matrix tests above never execute
-# the struct-of-arrays sweep; these repeat representative workloads with
+# A trace turns on mover tracking for every round, so the matrix tests above
+# never run the untracked sweep; these repeat representative workloads with
 # trace=None and compare positions/statuses/round/metrics.
 
 
@@ -477,9 +500,8 @@ def test_matrix_uxs_untraced_soa(name, graph):
 
 
 def test_follow_cascade_untraced_soa():
-    """The SoA cold paths: follow mid-sweep (mover reconstruction),
-    cascade, woken-early bookkeeping — without a trace forcing the
-    general path."""
+    """The cold paths: follow mid-sweep (mover reconstruction), cascade,
+    woken-early bookkeeping — without a trace tracking every mover."""
     g = gg.ring(8)
 
     def leader(ctx):
@@ -599,7 +621,7 @@ def test_scenario_registry_differential(scenario_name):
 @settings(max_examples=scaled_examples(60), deadline=None)
 def test_fault_plans_bit_identical(graph_pick, scripts, plan_dict, data):
     """Crash/delay campaigns (program-level wrappers) stay bit-identical
-    across both schedulers — traced (general path) and untraced (SoA)."""
+    across both schedulers — traced and untraced."""
     graph = [gg.ring(6), gg.path(5), gg.star(6), gg.erdos_renyi(7, seed=3)][graph_pick]
     k = len(scripts)
     plan = FaultPlan.from_dict(

@@ -640,3 +640,28 @@ class TestDefaultRoundCap:
         assert [o.error for o in outcomes] == [None, None]
         for outcome, spec in zip(outcomes, specs):
             assert outcome.run == execute_spec(spec).run
+
+
+class TestNonTerminatingSpecRefused:
+    """``random_walk`` never terminates: a spec without ``stop_on_gather``
+    could only step to its round cap (500M rounds by default), so every
+    execution path refuses it before the scheduler starts."""
+
+    SPEC = RunSpec(
+        "random_walk", "ring", {"n": 8}, k=3, uses_uxs=False, max_rounds=2000
+    )
+
+    def test_scalar_path_refuses(self):
+        outcome = execute_spec(self.SPEC)
+        assert outcome.error_type == "ValueError"
+        assert "stop_on_gather" in outcome.error
+
+    def test_batch_path_refuses(self):
+        from dataclasses import replace
+
+        from repro.runtime.spec import BatchRunSpec, execute_batch_spec
+
+        specs = [replace(self.SPEC, seed=s) for s in (0, 1)]
+        outcomes = execute_batch_spec(BatchRunSpec.from_specs(specs))
+        assert [o.error_type for o in outcomes] == ["ValueError", "ValueError"]
+        assert all("stop_on_gather" in o.error for o in outcomes)
