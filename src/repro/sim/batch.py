@@ -596,6 +596,9 @@ class ReplicaBatch:
                     if deactivated:
                         for rid in deactivated:
                             active.remove(rid)
+                    # An attach left the scheduler's follow groups marked
+                    # dirty; the gate hands every later round to its
+                    # _step, which rebuilds them.
                     if followers_once or sched._followers_of:
                         sched._soa_resolve_follows(
                             movers_i, movers_p, followers_once

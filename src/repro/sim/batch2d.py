@@ -185,7 +185,6 @@ class Replica2DBatch(ReplicaBatch):
         the unmodified scalar path.
         """
         sched = self.scheds[j]
-        k = sched._nrob
         sched._pos[:] = final.pos
         sched._entry[:] = final.entry
         sched._moves[:] = final.moves
@@ -209,5 +208,4 @@ class Replica2DBatch(ReplicaBatch):
             except RuntimeError:  # pragma: no cover - generator refusing
                 pass
         sched._active.clear()
-        sched._dormant = k
         sched._alive = 0

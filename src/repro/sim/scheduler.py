@@ -52,12 +52,21 @@ moves and stays is paid for only when present:
 
 * rare action kinds (sleep/follow/terminate/cards/notes) drop into the
   cold helper :meth:`_soa_cold`, which also records their trace events;
-* persistent followers, ``wake_on_meet`` sleepers and tracing switch on
-  *mover tracking* for the whole round — the ``(rid, port)`` list that
-  follow resolution, the meet wake-up scan and the ``move`` trace events
-  read.  Without them the sweep records nothing, and a follow or
-  meet-sleep appearing mid-sweep reconstructs the movers so far from the
-  pre-round positions.
+* ``wake_on_meet`` sleepers and tracing switch on *mover tracking* for the
+  whole round — the ``(rid, port)`` list that the meet wake-up scan and
+  the ``move`` trace events read.  Without them the sweep records nothing,
+  and a follow or meet-sleep appearing mid-sweep reconstructs the movers
+  so far from the pre-round positions;
+* persistent followers form **follow groups**: each co-located follower
+  *rides* its *root* (the first non-following robot up its leader chain).
+  The round snapshot counts groups rather than robots, so one group per
+  node is an O(1) test that serves each root its cached group card tuple,
+  and after the sweep every root whose position changed carries its
+  riders along.  The group state is rebuilt (:meth:`_regroup`) only after
+  a follow attach, an unfollow, or a card published by a root with
+  riders.  ``follow_once`` rounds, follow cycles and non-co-located
+  followers (``strict=False`` only) use the generic resolver
+  :meth:`_soa_resolve_follows`, which reads tracked movers.
 
 ``RobotState`` position attributes (node, entry port, moves, active rounds)
 are copied from the arrays only at run boundaries and on request
@@ -100,6 +109,35 @@ from repro.sim.robot import ACTIVE, FOLLOWING, SLEEPING, TERMINATED, RobotSpec, 
 from repro.sim.trace import TraceRecorder
 
 __all__ = ["Scheduler"]
+
+
+class _FollowGroups:
+    """A scheduler's follow-group state, rebuilt by ``Scheduler._regroup``.
+
+    One record instead of five scheduler attributes: CPython keeps
+    instance attributes in compact shared-key storage only below 30 of
+    them, and past that every ``self.x`` load in the round loop gets
+    slower.  The scheduler sits just below the limit.
+    """
+
+    __slots__ = ("riders", "gown", "units", "generic", "dirty")
+
+    def __init__(self, own: List[Tuple[dict, ...]], nrob: int):
+        #: root rid -> label-ordered rids of its riders
+        self.riders: Dict[int, List[int]] = {}
+        #: per rid: the card tuple its group shows when alone on its node
+        #: (riders' slots unused); the scheduler's ``_own`` list itself
+        #: while nobody rides
+        self.gown = own
+        #: groups on the graph (a robot without riders is one):
+        #: occupied == units <=> one group a node
+        self.units = nrob
+        #: some persistent follower is not a rider (a follow cycle, or a
+        #: non-co-located follower under ``strict=False``): rounds use the
+        #: generic resolver and re-check the groups every round
+        self.generic = False
+        #: a follow attach, an unfollow or a root's card changed the groups
+        self.dirty = False
 
 
 class Scheduler:
@@ -154,8 +192,6 @@ class Scheduler:
         # loop skips arrival tracking entirely
         self._meet_sleepers = 0
         self._alive = len(self.robots)
-        # robots not currently ACTIVE (SLEEPING/FOLLOWING/TERMINATED)
-        self._dormant = 0
 
         # --- struct-of-arrays state -----------------------------------
         nrob = len(self.robots)
@@ -182,6 +218,8 @@ class Scheduler:
         # rids flagged woken_early (meet arrivals, leader-terminated wakes)
         # since the last wake processing
         self._woken: List[int] = []
+
+        self._groups = _FollowGroups(self._own, nrob)
 
         self._prime()
 
@@ -336,7 +374,6 @@ class Scheduler:
                 was_due = r.wake_round is not None and rnd >= r.wake_round
                 if r.wake_on_meet:
                     self._meet_sleepers -= 1
-                self._dormant -= 1
                 r.status = ACTIVE
                 r.woken_early = False
                 r.wake_round = None
@@ -346,7 +383,6 @@ class Scheduler:
                 insort(active, rid)
             else:  # FOLLOWING: timer or leader-terminated ("wake" mode)
                 self._unfollow(r)
-                self._dormant -= 1
                 r.status = ACTIVE
                 r.leader_label = None
                 r.woken_early = False
@@ -423,31 +459,37 @@ class Scheduler:
         nrob = self._nrob
 
         # --- start-of-round co-location snapshot ----------------------
-        # excess == 0: every node is singly occupied and every observation
-        # is the robot's own persistent card tuple.  excess == 1: exactly
-        # one node holds exactly two robots; extract it in closed form from
-        # the previous round's position set (no per-node bookkeeping).
-        # excess >= 2: build the shared-node card map with one O(k) sweep.
-        excess = nrob - self._occupied
+        # Counted in units (groups; a robot without riders is one), not
+        # robots.  occupied == units: every node holds one group and every
+        # observation is its group card tuple (groups.gown is _own without
+        # groups).  occupied == k - 1 (only possible without groups):
+        # exactly one node holds exactly two robots; extract it in closed
+        # form from the previous round's position set (no per-node
+        # bookkeeping).  Otherwise build the shared-node card map with one
+        # O(k log k) sweep.
+        groups = self._groups
+        if groups.dirty:
+            self._regroup(pos)
+        occupied = self._occupied
         shared_cards: Optional[Dict[int, Tuple[dict, ...]]] = None
-        if excess == 0:
-            dup = -1
-            dup_cards: Optional[Tuple[dict, ...]] = None
-        elif excess == 1:
+        dup = -1
+        dup_cards: Optional[Tuple[dict, ...]] = None
+        if occupied == groups.units:
+            cards_of = groups.gown
+        elif occupied == nrob - 1:
+            cards_of = own
             dup = sum(pos) - sum(self._posset)
             i1 = pos.index(dup)
             i2 = pos.index(dup, i1 + 1)
             dup_cards = (own[i1][0], own[i2][0])
         else:
-            dup = -1
-            dup_cards = None
-            # find the `excess` duplicated slots from a C-sorted copy, then
+            # find the k - occupied duplicated slots from a C-sorted copy, then
             # recover each shared node's label-ordered rids with C index
             # scans — O(k log k) in C plus O(shared) in Python, instead of
             # a per-robot Python dict build
             sp = sorted(pos)
             shared_cards = {}
-            remaining = excess
+            remaining = nrob - occupied
             t = 0
             last = nrob - 1
             while remaining:
@@ -461,15 +503,14 @@ class Scheduler:
                     shared_cards[node] = tuple(own[j][0] for j in rids)
                 t += 1
 
-        # Followers, meet-sleepers and the trace need this round's movers.
-        # Without them the inline sweep records none, and a cold action
-        # that starts needing them reconstructs them from the pre-round
-        # positions (see _soa_reconstruct_movers).
+        # Meet-sleepers, the trace and the generic follow resolver need
+        # this round's movers.  Without them the inline sweep records
+        # none, and a cold action that starts needing them reconstructs
+        # them from the pre-round positions (see _soa_reconstruct_movers).
+        # Riders need no movers: a root whose position changed has moved.
         prev_pos = pos[:]
         trace = self.trace
-        track = (
-            trace is not None or bool(self._followers_of) or self._meet_sleepers > 0
-        )
+        track = trace is not None or self._meet_sleepers > 0 or groups.generic
         movers_i: List[int] = []
         movers_p: List[int] = []
         terminators: List[int] = []
@@ -486,7 +527,7 @@ class Scheduler:
                 ob.round = rnd
                 ob.degree = dg = deg[node]
                 ob.entry_port = entry[i]
-                ob.cards = own[i] if node != dup else dup_cards
+                ob.cards = cards_of[i] if node != dup else dup_cards
                 try:
                     a = sends[i](ob)
                 except StopIteration:
@@ -584,8 +625,30 @@ class Scheduler:
                 trace.record(rnd, "move", labels[i], (p, entry[i]))
 
         # --- resolve follows -------------------------------------------
-        if followers_once or self._followers_of:
+        # Riders follow their moved roots.  Groups are rebuilt against the
+        # round-start positions when this round's sweep changed them (an
+        # attach, a root's card).  Anything groups cannot express goes to
+        # the generic resolver; an attach turned mover tracking on, so it
+        # has the movers it reads.
+        if followers_once:
             self._soa_resolve_follows(movers_i, movers_p, followers_once)
+        elif groups.dirty or groups.riders:
+            if groups.dirty:
+                self._regroup(prev_pos)
+            if groups.generic:
+                self._soa_resolve_follows(movers_i, movers_p, followers_once)
+            elif trace is not None:
+                self._ride_traced(prev_pos, movers_i, movers_p)
+            else:
+                # a root whose position changed has moved (no self-loops)
+                for root, fs in groups.riders.items():
+                    node = pos[root]
+                    if node != prev_pos[root]:
+                        e = entry[root]
+                        for f in fs:
+                            pos[f] = node
+                            entry[f] = e
+                            mvs[f] += 1
 
         # --- commit occupancy ------------------------------------------
         ps = set(pos)
@@ -617,6 +680,88 @@ class Scheduler:
         metrics.rounds_executed += 1
         self.round = rnd + 1
 
+    # -- follow groups ----------------------------------------------------
+    def _regroup(self, ref: List[int]) -> None:
+        """Rebuild the follow-group state from the leader chains.
+
+        A persistent follower is a *rider* of its *root* — the first
+        non-``FOLLOWING`` robot up its leader chain — when ``ref`` (the
+        round-start positions) puts the two on one node; under
+        ``strict=True`` every persistent follower is one.  A root that
+        moves carries its riders along (the end of :meth:`_step_soa`), so
+        the state stays valid until a follow attach, an unfollow, or a card
+        published by a root with riders marks it dirty.  If some follower
+        is not a rider (a follow cycle, or a non-co-located follower),
+        groups are off: rounds use :meth:`_soa_resolve_follows` and the
+        state stays dirty, so every round re-checks.
+        """
+        groups = self._groups
+        groups.dirty = groups.generic = False
+        riders: Dict[int, List[int]] = {}
+        nrob = self._nrob
+        followers_of = self._followers_of
+        if followers_of:
+            robots = self.robots
+            by_label = self.by_label
+            for fid in sorted(f.rid for fs in followers_of.values() for f in fs):
+                root = robots[fid]
+                hops = 0
+                while root.status == FOLLOWING and hops < nrob:
+                    root = by_label[root.leader_label]
+                    hops += 1
+                if root.status == FOLLOWING or ref[root.rid] != ref[fid]:
+                    riders = {}
+                    groups.generic = groups.dirty = True
+                    break
+                riders.setdefault(root.rid, []).append(fid)
+        groups.riders = riders
+        own = self._own
+        if not riders:
+            groups.gown = own
+            groups.units = nrob
+            return
+        gown = own[:]
+        n_riders = 0
+        for root, fs in riders.items():
+            n_riders += len(fs)
+            members = fs[:]
+            insort(members, root)
+            gown[root] = tuple(own[j][0] for j in members)
+        groups.gown = gown
+        groups.units = nrob - n_riders
+
+    def _ride_traced(
+        self, prev_pos: List[int], movers_i: List[int], movers_p: List[int]
+    ) -> None:
+        """The round loop's rider step, with ``move`` trace events.
+
+        Every root whose position changed carries its riders: same node,
+        same entry port.  Each rider's event takes its root's port and
+        follows the movers' events in rid order — the seed scheduler's
+        order.
+        """
+        pos = self._pos
+        entry = self._entry
+        mvs = self._moves
+        trace = self.trace
+        port_of = dict(zip(movers_i, movers_p))
+        rode: List[Tuple[int, int]] = []
+        for root, fs in self._groups.riders.items():
+            node = pos[root]
+            if node != prev_pos[root]:
+                e = entry[root]
+                p = port_of[root]
+                for f in fs:
+                    pos[f] = node
+                    entry[f] = e
+                    mvs[f] += 1
+                    rode.append((f, p))
+        rode.sort()
+        rnd = self.round
+        labels = self._labels
+        for f, p in rode:
+            trace.record(rnd, "move", labels[f], (p, entry[f]))
+
     # -- SoA cold paths -------------------------------------------------
     def _soa_publish(self, i: int, action: Action) -> None:
         """Card publication from the hot loop: facade + own-tuple update.
@@ -624,11 +769,18 @@ class Scheduler:
         Cards are "as of the start of the round" without any invalidation:
         the publisher's own observation already happened, any co-located
         robot's card tuple was snapshotted at round start, and next round
-        rebuilds from the new ``own`` tuple.
+        rebuilds from the new ``own`` tuple.  A root with riders marks the
+        groups dirty (its group tuple changed); any other publisher only
+        refreshes its own group-card slot.
         """
         r = self.robots[i]
         self._apply_card(r, action)
-        self._own[i] = (r.card,)
+        self._own[i] = own = (r.card,)
+        groups = self._groups
+        if i in groups.riders:
+            groups.dirty = True
+        else:
+            groups.gown[i] = own
 
     def _soa_reconstruct_movers(
         self, prev_pos: List[int]
@@ -681,7 +833,10 @@ class Scheduler:
         Returns the (possibly enabled) mover-tracking flag: follow and
         meet-sleep actions need this round's movers, so on their first
         appearance the movers applied so far are reconstructed and tracking
-        stays on for the rest of the sweep.  Note, sleep and follow trace
+        stays on for the rest of the sweep.  (A persistent follow needs
+        them when the attach leaves a follower that cannot ride a root,
+        and the replica-batch slices always resolve an attach round
+        through :meth:`_soa_resolve_follows`.)  Note, sleep and follow trace
         events are recorded here, in sweep order.  ``meet_new`` collects
         this round's meet-sleepers for the replica-batch slices
         (:mod:`repro.sim.batch`); the round loop scans all meet-sleepers.
@@ -729,7 +884,6 @@ class Scheduler:
             r.status = SLEEPING
             r.wake_round = action.wake_round
             r.wake_on_meet = action.wake_on_meet
-            self._dormant += 1
             deactivated.append(i)
             if action.wake_round is not None:
                 heapq.heappush(self._wake_heap, (action.wake_round, i))
@@ -750,11 +904,11 @@ class Scheduler:
             r.leader_label = action.target
             r.wake_round = action.wake_round
             r.on_leader_terminate = action.on_leader_terminate
-            self._dormant += 1
             deactivated.append(i)
             if action.wake_round is not None:
                 heapq.heappush(self._wake_heap, (action.wake_round, i))
             self._followers_of.setdefault(action.target, []).append(r)
+            self._groups.dirty = True
             if trace is not None:
                 trace.record(rnd, "follow", r.label, action.target)
             if not track:
@@ -799,8 +953,10 @@ class Scheduler:
         movers_p: List[int],
         followers_once: List[int],
     ) -> None:
-        """Follow resolution + application.
+        """Generic follow resolution + application.
 
+        The round loop uses it only where follow groups do not apply:
+        ``follow_once`` rounds, follow cycles and non-co-located followers.
         Iterative forward propagation from this round's movers over the
         reverse leader->followers index: a follower chain ending in a mover
         inherits its port; chains ending anywhere else (stay, sleep,
@@ -881,6 +1037,7 @@ class Scheduler:
 
     def _unfollow(self, r: RobotState) -> None:
         """Drop ``r`` from the reverse leader->followers index."""
+        self._groups.dirty = True
         lst = self._followers_of.get(r.leader_label)
         if lst is not None:
             try:
@@ -894,9 +1051,8 @@ class Scheduler:
         if r.status == TERMINATED:
             return
         if r.status == FOLLOWING:
-            self._unfollow(r)  # already counted dormant
+            self._unfollow(r)
         elif r.status == ACTIVE:
-            self._dormant += 1
             self._active.remove(r.rid)
         r.status = TERMINATED
         r.terminated_round = self.round

@@ -11,6 +11,9 @@ draw from one vocabulary:
 * :data:`step_strategy` / :data:`script_strategy` / :func:`scripts` —
   scripted robot programs exercising every scheduler cold path (moves,
   stays, sleeps, wake-on-meet, whiteboard cards, termination);
+* :func:`follow_scripts` — the same vocabulary plus persistent and
+  one-round follows, kept separate so the draws of
+  :data:`script_strategy` (and the fuzz corpus) never shift;
 * :func:`scripted_factory` — compile a drawn script into a robot factory;
 * :func:`placements` — start nodes for ``k`` robots on a given graph;
 * :data:`fault_plan_strategy` — crash/delay tables in the
@@ -39,6 +42,7 @@ __all__ = [
     "step_strategy",
     "script_strategy",
     "scripts",
+    "follow_scripts",
     "scripted_factory",
     "placements",
     "fault_plan_strategy",
@@ -91,6 +95,42 @@ def scripts(min_size: int = 1, max_size: int = 10):
 script_strategy = scripts()
 
 
+#: One follow step.  ``source`` picks the target: ``"cards"`` from the
+#: co-located robots' cards (a robot alone stays instead), ``"any"`` from
+#: labels 1..5 (fleets are smaller, so some targets are unknown, the robot
+#: itself, or not co-located: the error paths and ``strict=False``).
+#: ``follow`` draws ``until_round`` as ``None`` or a delay rebased on the
+#: observed round, and both ``on_leader_terminate`` modes.
+_follow_step = st.one_of(
+    st.tuples(
+        st.just("follow"),
+        st.sampled_from(["cards", "any"]),
+        st.integers(0, 7),
+        st.sampled_from(["terminate", "wake"]),
+        st.one_of(st.none(), st.integers(0, 9)),
+    ),
+    st.tuples(st.just("follow_once"), st.sampled_from(["cards", "any"]), st.integers(0, 7)),
+)
+
+
+def follow_scripts(min_size: int = 1, max_size: int = 10):
+    """A strategy for one robot script mixing :data:`step_strategy` steps
+    with follow steps."""
+    return st.lists(
+        st.one_of(step_strategy, _follow_step),
+        min_size=min_size,
+        max_size=max_size,
+    )
+
+
+def _follow_target(obs, label: int, source: str, pick: int):
+    """The drawn follow target, or ``None`` for a ``"cards"`` pick alone."""
+    if source == "cards":
+        others = sorted(c["id"] for c in obs.cards if c["id"] != label)
+        return others[pick % len(others)] if others else None
+    return 1 + pick % 5
+
+
 def scripted_factory(script):
     """Compile a drawn script into a robot factory (terminates at the end)."""
 
@@ -109,6 +149,20 @@ def scripted_factory(script):
                     obs = yield Action.sleep(obs.round + 1 + step[1], wake_on_meet=True)
                 elif kind == "card":
                     obs = yield Action.stay(card={"v": step[1]})
+                elif kind == "follow":
+                    _, source, pick, mode, delay = step
+                    target = _follow_target(obs, ctx.label, source, pick)
+                    if target is None:
+                        obs = yield Action.stay()
+                    else:
+                        obs = yield Action.follow(
+                            target,
+                            until_round=None if delay is None else obs.round + 1 + delay,
+                            on_leader_terminate=mode,
+                        )
+                elif kind == "follow_once":
+                    target = _follow_target(obs, ctx.label, step[1], step[2])
+                    obs = yield Action.stay() if target is None else Action.follow_once(target)
             yield Action.terminate()
 
         return program()

@@ -41,6 +41,7 @@ from repro.sim.trace import TraceRecorder
 from tests.conftest import (
     activation_strategy,
     fault_plan_strategy,
+    follow_scripts,
     scaled_examples,
     script_strategy,
     scripted_factory,
@@ -93,7 +94,7 @@ def _state_digest(sched):
     )
 
 
-def run_both(graph, make_specs, max_rounds=200_000, stop_on_gather=False):
+def run_both(graph, make_specs, max_rounds=200_000, stop_on_gather=False, strict=False):
     """Run fast and seed schedulers on identical specs; assert bit-identity.
 
     Returns the fast scheduler for scenario-specific extra assertions.
@@ -101,7 +102,7 @@ def run_both(graph, make_specs, max_rounds=200_000, stop_on_gather=False):
     results = []
     for cls in (Scheduler, ReferenceScheduler):
         trace = TraceRecorder()
-        sched = cls(graph, make_specs(), trace=trace)
+        sched = cls(graph, make_specs(), trace=trace, strict=strict)
         sched.run(max_rounds=max_rounds, stop_on_gather=stop_on_gather)
         results.append((sched, trace))
     (fast, fast_trace), (ref, ref_trace) = results
@@ -647,3 +648,261 @@ def test_fault_plans_bit_identical(graph_pick, scripts, plan_dict, data):
 
     run_both(graph, make_specs, max_rounds=10_000)
     run_both_untraced(graph, make_specs, max_rounds=10_000)
+
+
+# ---------------------------------------------------------------------------
+# Follow groups: riders carried by their root (Scheduler._regroup)
+# ---------------------------------------------------------------------------
+# Each hand-built case runs traced and untraced under strict=True, the mode
+# every runtime path uses; the hypothesis test below adds strict=False.
+
+
+def run_both_modes(graph, make_specs, max_rounds=10_000):
+    """Traced and untraced differential runs under ``strict=True``."""
+    run_both(graph, make_specs, max_rounds=max_rounds, strict=True)
+    return run_both_untraced(graph, make_specs, max_rounds=max_rounds, strict=True)
+
+
+def _walker(steps):
+    """Rotor walk of ``steps`` moves (never bouncing back), then terminate."""
+
+    def prog(ctx):
+        obs = yield
+        obs = yield Action.move(0)
+        for _ in range(steps - 1):
+            obs = yield Action.move((obs.entry_port + 1) % obs.degree)
+        yield Action.terminate()
+
+    return prog
+
+
+def _noted(obs):
+    """The observed cards as a trace note: (id, v) pairs in card order."""
+    return repr([(c["id"], c.get("v")) for c in obs.cards])
+
+
+@pytest.mark.parametrize("leader,follower", [(2, 5), (5, 2)], ids=["leader-below", "leader-above"])
+def test_group_attach_in_the_round_the_leader_moves(leader, follower):
+    """The follower attaches while its leader moves in the same sweep —
+    before it (smaller label) or after it — and must move along that very
+    round, rebuilt from round-start positions."""
+    g = gg.ring(7)
+
+    def attach(ctx):
+        obs = yield
+        yield Action.follow(leader, on_leader_terminate="terminate")
+
+    def make_specs():
+        return [
+            _spec(leader, 0, _walker(4)),
+            _spec(follower, 0, attach),
+            _spec(9, 3, _walker(2)),  # a bystander the group meets
+        ]
+
+    fast = run_both_modes(g, make_specs)
+    assert fast.all_terminated()
+    assert fast.positions()[follower] == fast.positions()[leader]
+
+
+def test_grouped_root_card_is_seen_next_round():
+    """A root with a rider publishes a card; the root's own next
+    observation (its cached group tuple) and a robot arriving later both
+    see it.  A rider-less robot's publish refreshes its own group-card
+    slot in place, which it reads back the next round."""
+    g = gg.ring(6)
+    meet, back = g.traverse(0, 1)  # ``back`` leads from ``meet`` to node 0
+
+    def root(ctx):
+        obs = yield
+        obs = yield Action.stay()  # the rider attaches this round
+        obs = yield Action.stay(card={"v": 1})
+        for _ in range(4):  # alone for three rounds, then the visitor
+            obs = yield Action.stay(note=_noted(obs))
+        obs = yield Action.move(0, card={"v": 2})
+        obs = yield Action.stay(note=_noted(obs))
+        yield Action.terminate()
+
+    def rider(ctx):
+        obs = yield
+        yield Action.follow(4, on_leader_terminate="terminate")
+
+    def visitor(ctx):
+        obs = yield
+        obs = yield Action.stay()
+        obs = yield Action.stay()
+        obs = yield Action.stay(card={"v": 7})  # no root publishes nearby
+        obs = yield Action.stay(note=_noted(obs))  # its own fresh card
+        obs = yield Action.move(back)
+        obs = yield Action.stay(note=_noted(obs))
+        # branch on what it saw, so an untraced run diverges too
+        if any(c.get("v") == 1 for c in obs.cards):
+            obs = yield Action.move(0)
+        yield Action.terminate()
+
+    def make_specs():
+        return [_spec(4, 0, root), _spec(1, 0, rider), _spec(3, meet, visitor)]
+
+    fast = run_both_modes(g, make_specs)
+    assert fast.all_terminated()
+
+
+def test_two_groups_meet_and_reroot():
+    """Two groups meet on one node; the lower root then follows the higher
+    one, so its rider is re-rooted and all four robots ride together until
+    the last root terminates (one wake-mode rider outlives it)."""
+    g = gg.ring(8)
+    meet = g.traverse(g.traverse(0, 0)[0], 1)[0]
+
+    def root_low(ctx):
+        obs = yield
+        obs = yield Action.stay()
+        obs = yield Action.move(0)
+        obs = yield Action.move((obs.entry_port + 1) % obs.degree)
+        # now co-located with the other group: join its root
+        yield Action.follow(6, on_leader_terminate="terminate")
+
+    def root_high(ctx):
+        obs = yield
+        for _ in range(4):
+            obs = yield Action.stay(note=_noted(obs))
+        obs = yield Action.move(0, note=_noted(obs))
+        for _ in range(3):
+            obs = yield Action.move((obs.entry_port + 1) % obs.degree)
+        yield Action.terminate()
+
+    def rider(leader, mode):
+        def prog(ctx):
+            obs = yield
+            obs = yield Action.follow(leader, on_leader_terminate=mode)
+            obs = yield Action.move(0)
+            yield Action.terminate()
+
+        return prog
+
+    def make_specs():
+        return [
+            _spec(4, 0, root_low),
+            _spec(1, 0, rider(4, "terminate")),
+            _spec(6, meet, root_high),
+            _spec(2, meet, rider(6, "wake")),
+        ]
+
+    fast = run_both_modes(g, make_specs)
+    assert fast.all_terminated()
+    assert fast.positions()[1] == fast.positions()[4] == fast.positions()[6]
+    assert fast.metrics.moves_by_robot[1] == fast.metrics.moves_by_robot[4]
+
+
+def test_wake_mode_detach_at_until_round_and_on_leader_termination():
+    g = gg.ring(7)
+
+    def root(ctx):
+        obs = yield
+        obs = yield Action.stay()
+        for _ in range(4):
+            obs = yield Action.move(0 if obs.entry_port is None else (obs.entry_port + 1) % obs.degree)
+        yield Action.terminate()
+
+    def timed(ctx):  # detaches at round 3, mid-walk
+        obs = yield
+        obs = yield Action.follow(5, until_round=3, on_leader_terminate="wake")
+        obs = yield Action.move(0, note=_noted(obs))
+        yield Action.terminate()
+
+    def until_leader_ends(ctx):  # wakes the round after the root terminates
+        obs = yield
+        obs = yield Action.follow(5, on_leader_terminate="wake")
+        obs = yield Action.stay(note=_noted(obs))
+        obs = yield Action.move(0)
+        yield Action.terminate()
+
+    def make_specs():
+        return [_spec(5, 0, root), _spec(2, 0, timed), _spec(7, 0, until_leader_ends)]
+
+    fast = run_both_modes(g, make_specs)
+    assert fast.all_terminated()
+    assert fast.metrics.moves_by_robot[7] == fast.metrics.moves_by_robot[5] + 1
+
+
+def test_strict_follow_cycle_then_groups_resume():
+    """Co-located robots follow each other in a cycle (no root: the generic
+    resolver, nobody in it moves) with a third riding into the cycle; once
+    the cycle breaks on a timed wake, the rider has a root again."""
+    g = gg.ring(6)
+
+    def cyc(target, until, moves):
+        def prog(ctx):
+            obs = yield
+            obs = yield Action.follow(target, until_round=until, on_leader_terminate="wake")
+            for _ in range(moves):
+                obs = yield Action.move(0 if obs.entry_port is None else (obs.entry_port + 1) % obs.degree)
+            yield Action.terminate()
+
+        return prog
+
+    def hanger(ctx):
+        obs = yield
+        yield Action.follow(1, on_leader_terminate="terminate")
+
+    def watcher(ctx):  # shares the cycle's node: must see all four cards
+        obs = yield
+        for _ in range(6):
+            obs = yield Action.stay(note=_noted(obs))
+        yield Action.terminate()
+
+    def make_specs():
+        return [
+            _spec(1, 0, cyc(2, 4, 3)),
+            _spec(2, 0, cyc(1, 9, 1)),
+            _spec(3, 0, hanger),
+            _spec(5, 0, watcher),
+            _spec(4, 3, _walker(10)),  # keeps rounds executing
+        ]
+
+    fast = run_both_modes(g, make_specs)
+    assert fast.all_terminated()
+    assert fast.metrics.moves_by_robot[3] == fast.metrics.moves_by_robot[1] == 3
+
+
+def _follow_outcome(cls, graph, specs, strict, traced):
+    """One run: its final state (and trace), or the exception it raised."""
+    trace = TraceRecorder() if traced else None
+    sched = cls(graph, specs, trace=trace, strict=strict)
+    events = trace.events if traced else None
+    try:
+        sched.run(max_rounds=10_000)
+    except Exception as exc:
+        return ("raised", type(exc).__name__, str(exc), events)
+    return ("finished", _state_digest(sched), events)
+
+
+@given(
+    st.integers(0, 3),
+    st.lists(follow_scripts(), min_size=2, max_size=4),
+    st.data(),
+)
+@settings(max_examples=scaled_examples(100), deadline=None)
+def test_follow_scripts_bit_identical(graph_pick, scripts, data):
+    """Scripted persistent follows (both leader-termination modes, timed
+    and untimed), one-round follows, moves, sleeps and cards: identical to
+    the seed scheduler under strict and non-strict, traced and untraced —
+    the same final state, or the same exception type and message."""
+    graph = [gg.ring(6), gg.path(5), gg.star(6), gg.erdos_renyi(7, seed=3)][graph_pick]
+    # starts from a few nodes, so robots share nodes and groups form
+    starts = [
+        data.draw(st.integers(0, 2), label=f"start{i}") for i in range(len(scripts))
+    ]
+
+    def make_specs():
+        return [
+            RobotSpec(label=i + 1, start=s, factory=scripted_factory(sc))
+            for i, (s, sc) in enumerate(zip(starts, scripts))
+        ]
+
+    for strict in (True, False):
+        for traced in (True, False):
+            fast, ref = (
+                _follow_outcome(cls, graph, make_specs(), strict, traced)
+                for cls in (Scheduler, ReferenceScheduler)
+            )
+            assert fast == ref, (strict, traced)

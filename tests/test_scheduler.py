@@ -585,3 +585,17 @@ class TestPositionsQuery:
         snapshot = sched.positions()
         snapshot[1] = 99  # mutating the copy must not corrupt the engine
         assert sched.positions() == {1: 2}
+
+
+def test_scheduler_attributes_stay_in_compact_storage():
+    """CPython keeps instance attributes in compact shared-key storage only
+    below 30 of them; past that every ``self.x`` load in the round loop is
+    slower (a few percent of an Undispersed-Gathering run).  New per-run
+    state goes into an existing record, such as the follow-group state."""
+
+    def sitter(ctx):
+        obs = yield
+        yield Action.terminate()
+
+    sched = Scheduler(gg.ring(4), [make(1, 0, sitter)])
+    assert len(vars(sched)) < 30, sorted(vars(sched))
