@@ -1,4 +1,4 @@
-"""Replica-campaign benchmark: the lockstep batch engine vs the scalar loop.
+"""Replica-campaign benchmark: the replica-batch engines vs the scalar loop.
 
 Measures **replicas per second** for multi-seed campaigns — R seed-replicas
 of one :class:`~repro.runtime.RunSpec` — executed two ways through the same
@@ -7,10 +7,10 @@ of one :class:`~repro.runtime.RunSpec` — executed two ways through the same
 * ``scalar`` — the per-replica loop (the default engine): every replica
   pays materialization, graph checks, scheduler construction, the full
   per-round loop, and record assembly on its own;
-* ``batch``  — the lockstep replica engine (``engine="batch-numpy"`` /
+* ``batch``  — the replica engine (``engine="batch-numpy"`` /
   ``engine="batch-list"``): one shared graph + CSR kernel, graph-pure checks paid
-  once, a fused round loop with per-turn gate amortization, and a
-  per-graph BFS memo for the pair-distance column;
+  once, and a per-graph BFS memo for the pair-distance column; each
+  replica's rounds run through its own ``Scheduler.run``, the scalar loop;
 * ``numpy2d`` — the replica-major engine (``engine="batch-numpy2d"``):
   the probe program is a :class:`~repro.sim.vector.VectorProgram`, so
   whole replicas execute as R×k array kernels over the shared CSR (one
@@ -198,7 +198,7 @@ def run_suite(cells=None, rounds: int = 400, repeats: int = 3) -> Dict[str, obje
         "repeats": repeats,
         "workload": (
             "seeded kernel rotor walk per replica (placements and walks vary "
-            "by seed); scalar per-replica loop vs lockstep batch engine, both "
+            "by seed); scalar per-replica loop vs replica-batch engines, all "
             "through repro.runtime.execute; records asserted bit-identical "
             "before timing"
         ),
@@ -244,7 +244,7 @@ def main(argv=None) -> int:
                 row[f"{mode} rep/s"] = f"{w[key]:.0f}"
         row["speedup"] = f"{w['speedup']:.2f}x"
         rows.append(row)
-    print(render_table(rows, title="replica campaigns: lockstep batch engine vs scalar loop"))
+    print(render_table(rows, title="replica campaigns: replica-batch engines vs scalar loop"))
 
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)

@@ -295,8 +295,8 @@ def scenario_sweep(
     (:func:`repro.runtime.replicate_spec`), and rows gain a ``replica``
     column.  ``engine="batch-numpy"`` (or ``"batch-list"``) routes
     differ-only-by-seed groups (the clean siblings and their twins)
-    through the lockstep replica engine — bit-identical rows, less
-    wall-clock; scalar engine names pin the simulation backend instead
+    through the replica-batch engine — bit-identical rows; scalar engine
+    names pin the simulation backend instead
     (see docs/ENGINES.md).
     """
     # Imported here, not at module top: repro.scenarios sits above the

@@ -790,7 +790,7 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--engine", choices=list_engines(), default=None,
                         help="simulation backend (default: the optimized "
                              "scalar scheduler); batch-* engines run "
-                             "differ-only-by-seed groups in lockstep — all "
+                             "differ-only-by-seed groups as one batch — all "
                              "backends are bit-identical; see docs/ENGINES.md")
 
     def common(sp):

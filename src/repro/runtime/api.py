@@ -44,7 +44,7 @@ class ExecutionStats:
     executed: int = 0
     cache_hits: int = 0
     failures: int = 0
-    #: Runs that executed through the lockstep replica engine (a subset of
+    #: Runs that executed through the replica-batch engine (a subset of
     #: ``executed``; results are bit-identical to scalar execution).
     batched: int = 0
     elapsed: float = 0.0
@@ -155,7 +155,7 @@ def execute(
       default) run every pending spec through
       :func:`repro.runtime.spec.execute_spec` under that backend;
     * replica backends (``"batch-list"``, ``"batch-numpy"``) group pending
-      specs that differ only by seed into lockstep replica batches
+      specs that differ only by seed into replica batches
       (:func:`repro.runtime.spec.execute_batch_spec`) — the multi-seed
       campaign fast path.  Ungroupable specs (non-clean, or groups of one)
       fall back to the default scalar path, exactly as replica batching

@@ -148,8 +148,8 @@ class Executor(ABC):
 
         Default implementation is serial and in-process; parallel executors
         override it to dispatch whole batches to workers (a batch is
-        already a coarse unit — replicas inside it run in lockstep and
-        cannot be split).  ``progress`` fires per replica outcome with
+        already a coarse unit — its replicas share one graph and its checks,
+        so it is not split).  ``progress`` fires per replica outcome with
         ``total`` = all replicas across ``batches``.
         """
         total = sum(len(b.seeds) for b in batches)
@@ -293,7 +293,7 @@ class ParallelExecutor(Executor):
     ) -> List[List[RunOutcome]]:
         """Fan whole batches out over worker processes, one per task.
 
-        No chunking: a batch is already coarse (R lockstep replicas).  A
+        No chunking: a batch is already coarse (R replicas on one graph).  A
         worker that dies mid-batch poisons only its own batch, which is
         retried replica-by-replica through the scalar isolation path —
         records are identical either way, just slower.

@@ -245,7 +245,7 @@ class RunOutcome:
     error_type: Optional[str] = None
     elapsed: float = 0.0
     cached: bool = False
-    #: True when the run came out of the lockstep replica engine
+    #: True when the run came out of the replica-batch engine
     #: (:func:`execute_batch_spec`); results are bit-identical either way.
     batched: bool = False
 
@@ -502,7 +502,7 @@ def group_into_batches(
 
 
 def execute_batch_spec(batch: BatchRunSpec) -> List[RunOutcome]:
-    """Run a batch of seed-replicas in lockstep; outcomes in seed order.
+    """Run a batch of seed-replicas on one graph; outcomes in seed order.
 
     The scalar path's per-spec work is split: name/graph validation, UXS
     certification, and the connectivity check run **once** for the shared
@@ -510,8 +510,8 @@ def execute_batch_spec(batch: BatchRunSpec) -> List[RunOutcome]:
     the simulation itself runs through :class:`repro.sim.batch.
     ReplicaBatch`.  Failures are isolated exactly as in
     :func:`execute_spec` — per replica, message-identical — and per-outcome
-    ``elapsed`` is the batch wall-clock split evenly (lockstep interleaving
-    makes true per-replica timing meaningless).
+    ``elapsed`` is the batch wall-clock split evenly (the batch is timed
+    as one unit, not per replica).
     """
     specs = batch.specs()
     t0 = time.perf_counter()

@@ -1,9 +1,9 @@
 """Replica-major batch engine: whole replicas retired by array kernels.
 
-:class:`~repro.sim.batch.ReplicaBatch` (PR 5) runs R replicas in lockstep
-but still activates every robot by stepping its Python generator — the
-per-robot interpreter round-trip is the floor it cannot break.  This
-module inverts the layout: for fleets that declare a
+:class:`~repro.sim.batch.ReplicaBatch` runs each of its R replicas through
+its own ``Scheduler.run``, activating every robot by stepping its Python
+generator — a per-robot interpreter round-trip that no generator-stepping
+engine can avoid.  This module inverts the layout: for fleets that declare a
 :class:`~repro.sim.vector.VectorProgram`, the whole R×k hot state
 (positions, CSR slots, wake offsets) lives in 2D NumPy arrays and entire
 *runs* execute as array kernels over the single shared CSR — one
@@ -13,13 +13,13 @@ Hot/cold split
 --------------
 
 :class:`Replica2DBatch` subclasses :class:`ReplicaBatch` and overrides the
-``_vector_phase`` hook, which runs once before the lockstep loop:
+``_vector_phase`` hook, which runs once before any scheduler is stepped:
 
 1. **Hot candidates.**  A replica qualifies only if every robot in its
    fleet shares one :class:`VectorProgram`, its scheduler is pristine
    (round 0, every robot active, no wakes pending), and the run is a plain
    run-to-completion (``stop_on_gather`` falls back wholesale — the early
-   exit is round-accurate only in the scalar drive).
+   exit is round-accurate only in ``Scheduler.run``).
 2. **Kernel vetting.**  Candidates group by ``(kernel, shared, k)``; the
    kernel compiles one plan per graph (memoized process-wide) and then
    vets each replica's scalar params against ``max_rounds``.  *Any* doubt
@@ -29,8 +29,8 @@ Hot/cold split
    kernels; the kernel returns per-replica
    :class:`~repro.sim.vector.ReplicaFinal` end states.
 4. **Write-back + scalar retirement.**  The final state is written onto
-   the replica's pristine scheduler (arrays, counters, statuses) and the
-   replica retires through the ordinary ``_finalize`` →
+   the replica's pristine scheduler (arrays, counters, statuses), which
+   then finalizes through ``_finalize`` and retires through the ordinary
    ``package_result`` path — the packaged result is produced by the exact
    code a scalar run uses, from the exact state a scalar run would hold.
    The robots' generators are never sent an observation; they are simply
@@ -40,7 +40,7 @@ Everything that does not qualify — cold regimes (mid-round follows,
 meet-sleeps, traced or activation-model rounds never reach this engine;
 the runtime only batches clean specs, but scripted sleeps, card publishes,
 and irregular graphs do), construction failures, kernel declines — stays
-in ``live`` untouched and runs the inherited lockstep scalar drive from
+in ``live`` untouched and runs through its own ``Scheduler.run`` from
 round 0.  Bit-identity with ``batch-list``/``batch-numpy`` (and the error
 parity of timeouts, bad ports, and deadlocks) is therefore structural:
 the scalar path is not an approximation of the hot path, it *is* the
@@ -68,7 +68,7 @@ class Replica2DBatch(ReplicaBatch):
     """R replicas with a replica-major NumPy front-run (see module docs).
 
     Construction is exactly :class:`ReplicaBatch`'s (same per-replica
-    scheduler isolation, same views) plus one pass over the fleets to
+    scheduler isolation) plus one pass over the fleets to
     detect shared :class:`VectorProgram` factories.  ``backend`` is pinned
     to ``"numpy2d"`` — use :func:`repro.sim.batch.make_replica_batch` to
     select engines by name.
@@ -111,7 +111,7 @@ class Replica2DBatch(ReplicaBatch):
         programs = self._programs
         scheds = self.scheds
         if stop_on_gather:
-            # The early-exit run stops mid-schedule; only the scalar drive
+            # The early-exit run stops mid-schedule; only Scheduler.run
             # tracks the exact gather round interleaved with cold actions.
             stats["fallbacks"] = sum(1 for j in live if programs[j] is not None)
             return live
@@ -180,9 +180,9 @@ class Replica2DBatch(ReplicaBatch):
 
         The scheduler is pristine (round 0, post-priming); after this call
         it is indistinguishable from one that ran the replica to
-        completion through ``Scheduler.run``, so the inherited ``_retire``
-        (``_finalize`` + ``package_result``) packages the result through
-        the unmodified scalar path.
+        completion through ``Scheduler.run`` (which ends in ``_finalize``,
+        as this does), so the inherited ``_retire`` packages the result
+        through the unmodified scalar path.
         """
         sched = self.scheds[j]
         sched._pos[:] = final.pos
@@ -209,3 +209,4 @@ class Replica2DBatch(ReplicaBatch):
                 pass
         sched._active.clear()
         sched._alive = 0
+        sched._finalize()

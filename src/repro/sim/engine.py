@@ -3,7 +3,7 @@
 Several execution paths grew up in this repository — the seed
 :class:`~repro.sim.reference.ReferenceScheduler` (the executable spec), the
 struct-of-arrays round loop of :class:`~repro.sim.scheduler.Scheduler`, and
-the lockstep replica engines (:class:`~repro.sim.batch.ReplicaBatch` and
+the replica-batch engines (:class:`~repro.sim.batch.ReplicaBatch` and
 its replica-major subclass).  This module defines the contract
 they all satisfy, so call sites select a backend by *name* instead of
 hard-coding a class:
@@ -67,8 +67,8 @@ class UnsupportedFeature(SimulationError):
 class EngineCapabilities:
     """Honest feature flags for one backend.
 
-    ``supports_batch`` — the backend can run many seed-replicas in lockstep
-    (the runtime routes ``group_into_batches`` output through it).
+    ``supports_batch`` — the backend can run many seed-replicas as one
+    batch (the runtime routes ``group_into_batches`` output through it).
     ``supports_activation`` — non-synchronous activation models.
     ``supports_tracing`` — event tracing (:class:`~repro.sim.trace.
     TraceRecorder`).
@@ -109,8 +109,8 @@ class Engine(ABC):
     see instrumentation they did not claim.
 
     The stepwise protocol: :meth:`step` advances the simulation by at least
-    one round (a backend may advance further — the replica engine retires
-    whole slices), :attr:`done` reports completion, :meth:`sync_state`
+    one round (a backend may advance further — the replica engine runs
+    the whole request), :attr:`done` reports completion, :meth:`sync_state`
     makes label-level queries (:meth:`positions`) current mid-run, and
     :meth:`finalize` packages the finished run.  :meth:`run` drives the
     whole thing and is what ``World.run`` calls.

@@ -7,9 +7,9 @@ name          implementation                                             notes
 ============= ========================================================== =====
 reference     :class:`~repro.sim.reference.ReferenceScheduler`           the executable spec; the conformance oracle
 soa           :class:`~repro.sim.scheduler.Scheduler` (default)          one struct-of-arrays round loop
-batch-list    :class:`~repro.sim.batch.ReplicaBatch` (list backend)      lockstep replicas, pure-Python bookkeeping
-batch-numpy   :class:`~repro.sim.batch.ReplicaBatch` (numpy backend)     lockstep replicas, vectorized bookkeeping
-batch-numpy2d :class:`~repro.sim.batch2d.Replica2DBatch`                 replica-major 2D kernels + scalar fallback
+batch-list    :class:`~repro.sim.batch.ReplicaBatch` (list backend)      replicas through ``Scheduler.run``, pure-Python bookkeeping
+batch-numpy   :class:`~repro.sim.batch.ReplicaBatch` (numpy backend)     replicas through ``Scheduler.run``, vectorized bookkeeping
+batch-numpy2d :class:`~repro.sim.batch2d.Replica2DBatch`                 replica-major 2D kernels + ``Scheduler.run`` fallback
 ============= ========================================================== =====
 
 Call sites name a backend (``World.run(engine="soa")``, ``execute(specs,
@@ -26,11 +26,9 @@ for the contract and for adding a backend.
 
 from __future__ import annotations
 
-import builtins
 from typing import Dict, List, Optional, Type
 
-from repro.sim import errors as _errors
-from repro.sim.batch import HAVE_NUMPY, ReplicaOutcome, make_replica_batch
+from repro.sim.batch import HAVE_NUMPY, make_replica_batch
 from repro.sim.engine import Engine, EngineCapabilities, EngineRequest
 from repro.sim.reference import ReferenceScheduler
 from repro.sim.scheduler import Scheduler
@@ -181,33 +179,15 @@ class SoAEngine(_SchedulerEngine):
 # ---------------------------------------------------------------------------
 
 
-def _rebuild_error(outcome: ReplicaOutcome) -> Exception:
-    """Reconstruct a replica's isolated failure as a raisable exception.
-
-    :class:`~repro.sim.batch.ReplicaBatch` stores failures as
-    ``(str(exc), type(exc).__name__)`` — exactly what the scalar runtime
-    records.  Single-run engine semantics require *raising*; rebuilding by
-    type name + message keeps ``str``/``type`` identical to the scalar
-    path without re-running failed constructors.
-    """
-    exc_type = getattr(_errors, outcome.error_type or "", None)
-    if exc_type is None:
-        exc_type = getattr(builtins, outcome.error_type or "", None)
-    if not (isinstance(exc_type, type) and issubclass(exc_type, BaseException)):
-        exc_type = _errors.SimulationError
-    exc = exc_type.__new__(exc_type)
-    Exception.__init__(exc, outcome.error or "")
-    return exc
-
-
 class _BatchEngine(Engine):
     """Adapter: :class:`ReplicaBatch` as a (coarse-stepped) single-run engine.
 
-    The replica engine's unit of progress is a whole lockstep slice, so
+    The replica engine's unit of progress is a whole replica run, so
     :meth:`step` runs the request to completion on first call (the protocol
     allows steps of more than one round).  Multi-replica use goes through
     the runtime (``execute(engine="batch-...")`` groups seed-replicas);
-    here one fleet of size R=1 runs with scalar-identical results.
+    here one fleet of size R=1 runs with scalar-identical results, and a
+    failure re-raises the replica's own exception.
     """
 
     batch_backend: str = "list"
@@ -234,8 +214,9 @@ class _BatchEngine(Engine):
 
     def step(self) -> None:
         # The replica engine's smallest externally observable unit of
-        # progress is the whole run (replicas retire inside fused slices),
-        # so one "step" drives it to completion under the default budget.
+        # progress is the whole run (each replica runs Scheduler.run to its
+        # end), so one "step" drives it to completion under the default
+        # budget.
         if self._result is None:
             self.run(DEFAULT_MAX_ROUNDS)
 
@@ -257,14 +238,14 @@ class _BatchEngine(Engine):
             max_rounds=max_rounds, stop_on_gather=stop_on_gather
         )[0]
         if not outcome.ok:
-            raise _rebuild_error(outcome)
+            raise outcome.exception
         self._result = outcome.result
         return self._result
 
 
 @register_engine
 class BatchListEngine(_BatchEngine):
-    """Lockstep replica engine, pure-Python bookkeeping (always available)."""
+    """Replica engine, pure-Python bookkeeping (always available)."""
 
     name = "batch-list"
     capabilities = EngineCapabilities(supports_batch=True)
@@ -275,7 +256,7 @@ if HAVE_NUMPY:
 
     @register_engine
     class BatchNumpyEngine(_BatchEngine):
-        """Lockstep replica engine, numpy bookkeeping (bit-identical to list)."""
+        """Replica engine, numpy bookkeeping (bit-identical to list)."""
 
         name = "batch-numpy"
         capabilities = EngineCapabilities(supports_batch=True)
@@ -283,9 +264,9 @@ if HAVE_NUMPY:
 
     @register_engine
     class BatchNumpy2DEngine(_BatchEngine):
-        """Replica-major 2D engine: array kernels for hot replicas, the
-        lockstep scalar drive for everything else (bit-identical either
-        way; see :mod:`repro.sim.batch2d`)."""
+        """Replica-major 2D engine: array kernels for hot replicas,
+        ``Scheduler.run`` for everything else (bit-identical either way;
+        see :mod:`repro.sim.batch2d`)."""
 
         name = "batch-numpy2d"
         capabilities = EngineCapabilities(supports_batch=True)

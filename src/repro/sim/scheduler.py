@@ -110,6 +110,10 @@ from repro.sim.trace import TraceRecorder
 
 __all__ = ["Scheduler"]
 
+#: The round snapshot's shared-node card map when every node holds one
+#: group.  Never mutated: the sweep only reads it.
+_NOTHING_SHARED: Dict[int, Tuple[dict, ...]] = {}
+
 
 class _FollowGroups:
     """A scheduler's follow-group state, rebuilt by ``Scheduler._regroup``.
@@ -296,25 +300,20 @@ class Scheduler:
             if stop_on_gather and self.metrics.first_gather_round is not None:
                 break
             if self.round > max_rounds:
-                raise self._timeout_error()
+                raise SimulationTimeout(
+                    self.round,
+                    detail="; ".join(
+                        f"{r.label}:{rb.STATUS_NAMES[r.status]}" for r in self.robots
+                    ),
+                )
             self._step()
         return self._finalize()
 
-    def _timeout_error(self) -> SimulationTimeout:
-        """The exception ``run`` raises past ``max_rounds``.  Shared with the
-        batched replica driver (:mod:`repro.sim.batch`), which enforces the
-        same limit per replica and must report the identical error."""
-        return SimulationTimeout(
-            self.round,
-            detail="; ".join(
-                f"{r.label}:{rb.STATUS_NAMES[r.status]}" for r in self.robots
-            ),
-        )
-
     def _finalize(self) -> RunMetrics:
         """Sync facades and fill the end-of-run metrics.  ``run`` calls this
-        once its loop exits; the batched replica driver calls it when it
-        retires a replica — one code path, identical metrics either way."""
+        once its loop exits; the stepwise engine protocol and the
+        replica-major batch write-back (:mod:`repro.sim.batch2d`) call it
+        directly — one code path, identical metrics either way."""
         if self._uses_soa:
             self._sync_states()
         self.metrics.rounds = self.round
@@ -443,8 +442,8 @@ class Scheduler:
                 )
             active = [r.rid for r in selected]
             ar = self._ar
-            for i in active:
-                ar[i] += 1
+            for rid in active:
+                ar[rid] += 1
         csr = self._csr
         row = csr.row_offsets
         nbr = csr.neighbor
@@ -459,36 +458,34 @@ class Scheduler:
         nrob = self._nrob
 
         # --- start-of-round co-location snapshot ----------------------
-        # Counted in units (groups; a robot without riders is one), not
-        # robots.  occupied == units: every node holds one group and every
-        # observation is its group card tuple (groups.gown is _own without
-        # groups).  occupied == k - 1 (only possible without groups):
+        # ``shared`` maps each node holding more than one group to the card
+        # tuple of every robot on it; every other robot observes its group
+        # card tuple (groups.gown is _own without groups).  Occupancy is
+        # counted in units (groups; a robot without riders is one), not
+        # robots.  occupied == units: every node holds one group, nothing
+        # is shared.  occupied == k - 1 (only possible without groups):
         # exactly one node holds exactly two robots; extract it in closed
         # form from the previous round's position set (no per-node
-        # bookkeeping).  Otherwise build the shared-node card map with one
-        # O(k log k) sweep.
+        # bookkeeping).  Otherwise build the map with one O(k log k) sweep.
         groups = self._groups
         if groups.dirty:
             self._regroup(pos)
         occupied = self._occupied
-        shared_cards: Optional[Dict[int, Tuple[dict, ...]]] = None
-        dup = -1
-        dup_cards: Optional[Tuple[dict, ...]] = None
+        cards_of = groups.gown
         if occupied == groups.units:
-            cards_of = groups.gown
+            shared = _NOTHING_SHARED
         elif occupied == nrob - 1:
-            cards_of = own
             dup = sum(pos) - sum(self._posset)
             i1 = pos.index(dup)
             i2 = pos.index(dup, i1 + 1)
-            dup_cards = (own[i1][0], own[i2][0])
+            shared = {dup: (own[i1][0], own[i2][0])}
         else:
             # find the k - occupied duplicated slots from a C-sorted copy, then
             # recover each shared node's label-ordered rids with C index
             # scans — O(k log k) in C plus O(shared) in Python, instead of
             # a per-robot Python dict build
             sp = sorted(pos)
-            shared_cards = {}
+            shared = {}
             remaining = nrob - occupied
             t = 0
             last = nrob - 1
@@ -500,7 +497,7 @@ class Scheduler:
                         rids.append(pos.index(node, rids[-1] + 1))
                         t += 1
                         remaining -= 1
-                    shared_cards[node] = tuple(own[j][0] for j in rids)
+                    shared[node] = tuple(own[j][0] for j in rids)
                 t += 1
 
         # Meet-sleepers, the trace and the generic follow resolver need
@@ -515,104 +512,55 @@ class Scheduler:
         movers_p: List[int] = []
         terminators: List[int] = []
         followers_once: List[int] = []
-        meet_new: List[int] = []
         # rids leaving the active set this round (sleep/follow); removal is
         # deferred because the loop iterates self._active itself
         deactivated: List[int] = []
 
-        if shared_cards is None:
-            for i in active:
-                node = pos[i]
-                ob = obs_l[i]
-                ob.round = rnd
-                ob.degree = dg = deg[node]
-                ob.entry_port = entry[i]
-                ob.cards = cards_of[i] if node != dup else dup_cards
-                try:
-                    a = sends[i](ob)
-                except StopIteration:
+        for i in active:
+            node = pos[i]
+            ob = obs_l[i]
+            ob.round = rnd
+            ob.degree = dg = deg[node]
+            ob.entry_port = entry[i]
+            ob.cards = shared[node] if node in shared else cards_of[i]
+            try:
+                a = sends[i](ob)
+            except StopIteration:
+                raise ProtocolViolation(
+                    f"robot {self._labels[i]}: program returned without terminating"
+                ) from None
+            try:
+                kind = a.hot_kind
+            except AttributeError:
+                if a is None:
                     raise ProtocolViolation(
-                        f"robot {self._labels[i]}: program returned without terminating"
+                        f"robot {self._labels[i]}: yielded None instead of an Action"
                     ) from None
+                raise
+            if kind == MOVE:
+                p = a.port
                 try:
-                    kind = a.hot_kind
-                except AttributeError:
-                    if a is None:
-                        raise ProtocolViolation(
-                            f"robot {self._labels[i]}: yielded None instead of an Action"
-                        ) from None
-                    raise
-                if kind == MOVE:
-                    p = a.port
-                    try:
-                        ok = 0 <= p < dg
-                    except TypeError:  # port is None
-                        ok = False
-                    if not ok:
-                        raise ProtocolViolation(
-                            f"robot {self._labels[i]}: invalid port {p} on a degree-"
-                            f"{dg} node"
-                        )
-                    j = row[node] + p
-                    pos[i] = nbr[j]
-                    entry[i] = ent[j]
-                    mvs[i] += 1
-                    if track:
-                        movers_i.append(i)
-                        movers_p.append(p)
-                elif kind != STAY:
-                    track = self._soa_cold(
-                        i, a, rnd, track,
-                        movers_i, movers_p, terminators, followers_once,
-                        meet_new, deactivated, prev_pos,
-                    )
-        else:
-            for i in active:
-                node = pos[i]
-                ob = obs_l[i]
-                ob.round = rnd
-                ob.degree = dg = deg[node]
-                ob.entry_port = entry[i]
-                cards = shared_cards.get(node)
-                ob.cards = own[i] if cards is None else cards
-                try:
-                    a = sends[i](ob)
-                except StopIteration:
+                    ok = 0 <= p < dg
+                except TypeError:  # port is None
+                    ok = False
+                if not ok:
                     raise ProtocolViolation(
-                        f"robot {self._labels[i]}: program returned without terminating"
-                    ) from None
-                try:
-                    kind = a.hot_kind
-                except AttributeError:
-                    if a is None:
-                        raise ProtocolViolation(
-                            f"robot {self._labels[i]}: yielded None instead of an Action"
-                        ) from None
-                    raise
-                if kind == MOVE:
-                    p = a.port
-                    try:
-                        ok = 0 <= p < dg
-                    except TypeError:  # port is None
-                        ok = False
-                    if not ok:
-                        raise ProtocolViolation(
-                            f"robot {self._labels[i]}: invalid port {p} on a degree-"
-                            f"{dg} node"
-                        )
-                    j = row[node] + p
-                    pos[i] = nbr[j]
-                    entry[i] = ent[j]
-                    mvs[i] += 1
-                    if track:
-                        movers_i.append(i)
-                        movers_p.append(p)
-                elif kind != STAY:
-                    track = self._soa_cold(
-                        i, a, rnd, track,
-                        movers_i, movers_p, terminators, followers_once,
-                        meet_new, deactivated, prev_pos,
+                        f"robot {self._labels[i]}: invalid port {p} on a degree-"
+                        f"{dg} node"
                     )
+                j = row[node] + p
+                pos[i] = nbr[j]
+                entry[i] = ent[j]
+                mvs[i] += 1
+                if track:
+                    movers_i.append(i)
+                    movers_p.append(p)
+            elif kind != STAY:
+                track = self._soa_cold(
+                    i, a, rnd, track,
+                    movers_i, movers_p, terminators, followers_once,
+                    deactivated, prev_pos,
+                )
 
         if deactivated:
             for rid in deactivated:
@@ -823,7 +771,6 @@ class Scheduler:
         movers_p: List[int],
         terminators: List[int],
         followers_once: List[int],
-        meet_new: List[int],
         deactivated: List[int],
         prev_pos: List[int],
     ) -> bool:
@@ -834,12 +781,9 @@ class Scheduler:
         meet-sleep actions need this round's movers, so on their first
         appearance the movers applied so far are reconstructed and tracking
         stays on for the rest of the sweep.  (A persistent follow needs
-        them when the attach leaves a follower that cannot ride a root,
-        and the replica-batch slices always resolve an attach round
-        through :meth:`_soa_resolve_follows`.)  Note, sleep and follow trace
-        events are recorded here, in sweep order.  ``meet_new`` collects
-        this round's meet-sleepers for the replica-batch slices
-        (:mod:`repro.sim.batch`); the round loop scans all meet-sleepers.
+        them when the attach leaves a follower that cannot ride a root.)
+        Note, sleep and follow trace events are recorded here, in sweep
+        order.
         """
         r = self.robots[i]
         if action.card is not None:
@@ -891,7 +835,6 @@ class Scheduler:
                 trace.record(rnd, "sleep", r.label, action.wake_round)
             if action.wake_on_meet:
                 self._meet_sleepers += 1
-                meet_new.append(i)
                 if not track:
                     mi, mp = self._soa_reconstruct_movers(prev_pos)
                     movers_i[:] = mi

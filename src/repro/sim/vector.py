@@ -8,7 +8,7 @@ promise.  This module is the declaration mechanism:
 
 * :class:`VectorProgram` wraps an ordinary program factory.  Calling it is
   byte-for-byte the wrapped factory — every scalar engine (and the
-  lockstep batch engine) sees a normal program and never knows the wrapper
+  replica-batch engine) sees a normal program and never knows the wrapper
   exists.  The 2D engine additionally reads the declaration triplet
   ``(kernel, shared, params)`` and, when the kernel accepts the graph and
   parameters, runs the replica through the array twin instead of the
@@ -32,7 +32,7 @@ The contract a kernel author signs:
 2. **Reject, never approximate.**  Anything the twin cannot reproduce
    exactly — an unsupported graph shape, a parameter that would time out,
    an edge the math does not cover — must make ``plan``/``accepts``
-   decline, which silently falls the replica back to the scalar drive.
+   decline, which silently falls the replica back to ``Scheduler.run``.
    Declining is always correct; accepting is a proof obligation.
 3. **No side channels.**  Accepted programs must not publish cards, touch
    ``ctx.stats``, or depend on observations beyond what the kernel
@@ -78,7 +78,7 @@ class VectorProgram:
 
     Instances are callable with the exact signature of the wrapped
     ``factory`` (``factory(ctx) -> generator``), so every engine that
-    steps generators — the schedulers, the lockstep batch engine — runs
+    steps generators — the schedulers, the replica-batch engine — runs
     the scalar program unchanged.  The 2D replica engine treats a fleet
     whose robots all share one ``VectorProgram`` as a *hot candidate*:
     replicas are grouped by ``(kernel, shared)`` and executed through

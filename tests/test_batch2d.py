@@ -10,7 +10,7 @@ Pins both halves of ``batch-numpy2d``'s contract
   termination metadata;
 * **cold**: anything the kernel cannot prove — irregular graphs,
   timeout-bound overruns, ``stop_on_gather``, mixed-factory fleets, bad
-  params — must fall back to the scalar drive with results (and errors)
+  params — must fall back to ``Scheduler.run`` with results (and errors)
   identical to ``batch-list``, while ``vector_stats`` accounts for every
   declined replica.
 
@@ -237,7 +237,7 @@ def test_mixed_hot_and_cold_fleets_in_one_batch():
 
 def test_fallback_on_irregular_graph():
     # star/path graphs are not regular: the kernel must decline and the
-    # scalar drive must produce exactly the batch-list results
+    # Scheduler.run fallback must produce exactly the batch-list results
     for graph in (gg.star(7), gg.path(6)):
         hot = [rotor_fleet(graph, 2, r, rounds=12) for r in range(4)]
         ref = [rotor_fleet(graph, 2, r, rounds=12, hot=False) for r in range(4)]

@@ -1,7 +1,7 @@
 """The batched replica engine is bit-identical to scalar execution.
 
-:mod:`repro.sim.batch` runs R seed-replicas in lockstep with a fused hot
-loop (plus a specialized two-robot slice); :mod:`repro.runtime` groups
+:mod:`repro.sim.batch` runs R seed-replicas over one shared graph, each
+through its own ``Scheduler.run``; :mod:`repro.runtime` groups
 differ-only-by-seed specs into :class:`BatchRunSpec` units.  This module
 pins, for both bookkeeping backends (NumPy and the pure-list fallback):
 
@@ -14,8 +14,6 @@ pins, for both bookkeeping backends (NumPy and the pure-list fallback):
 * failure parity — timeouts and poisoned replicas produce the scalar
   path's exact error strings, isolated per replica;
 * grouping rules — what batches, what stays scalar, and why;
-* follow groups — a UXS-Gathering group formed inside a fused slice
-  leaves the scheduler's group state dirty for the next scalar round;
 * hypothesis — random scripted robots (sleeps, meets, cards, follows are
   exercised through the engine's cold path) bit-identical per seed.
 
@@ -34,7 +32,6 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.placement import assign_labels, dispersed_random
 from repro.core.faster_gathering import faster_gathering_program
 from repro.core.undispersed import undispersed_gathering_program
-from repro.core.uxs_gathering import uxs_gathering_program
 from repro.graphs import generators as gg
 from repro.runtime import (
     BatchRunSpec,
@@ -51,12 +48,10 @@ from repro.runtime import (
 from repro.sim.batch import (
     BACKENDS,
     HAVE_NUMPY,
-    ReplicaBatch,
     make_replica_batch,
     resolve_backend,
 )
 from repro.sim.robot import RobotSpec
-from repro.sim.scheduler import Scheduler
 from repro.sim.world import World
 from tests.conftest import scaled_examples, scripted_factory, scripts
 from tests.test_integration_matrix import FAMILY_INSTANCES
@@ -85,8 +80,8 @@ def metrics_dict(m):
 
 
 ENGINE_CASES = [
-    ("faster-k2", faster_gathering_program, 2),   # the specialized pair slice
-    ("faster-k4", faster_gathering_program, 4),   # the general slice
+    ("faster-k2", faster_gathering_program, 2),   # the paper's rendezvous pair
+    ("faster-k4", faster_gathering_program, 4),
     ("undispersed-k3", undispersed_gathering_program, 3),
 ]
 
@@ -182,79 +177,6 @@ def test_engine_isolates_construction_failures():
     assert outcomes[1].error_type == "ValueError"
     assert "labels must be unique" in outcomes[1].error
     assert batch.summary.failed == 1
-
-
-# ---------------------------------------------------------------------------
-# Follow groups formed inside a fused slice
-# ---------------------------------------------------------------------------
-
-
-def _uxs_group_fleet(graph, k, seed):
-    """A UXS-Gathering fleet whose first two robots share a start node.
-
-    Round 0 publishes every card (a cold action, so the first slice ends
-    there); in round 1 nobody sleeps or follows yet, so it runs in a fused
-    slice, where the lower of the two co-located robots starts following
-    the higher one.
-    """
-    starts = dispersed_random(graph, k, seed=seed)
-    starts[1] = starts[0]
-    labels = assign_labels(k, graph.n, scheme="random", seed=seed)
-    factory = uxs_gathering_program()
-    return [RobotSpec(label=l, start=s, factory=factory) for l, s in zip(labels, starts)]
-
-
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
-def test_follow_group_formed_in_a_fused_slice(backend, monkeypatch):
-    """Every replica matches a scalar ``soa`` run bit-for-bit, and a slice
-    that attaches a follower hands the scheduler a dirty group state that
-    its next round rebuilds into riders."""
-    graph = gg.ring(6)
-    replicas = 8 * DIFF_SCALE
-    formed = {}  # id(sched) -> group state dirty when its slice ended
-    rebuilt = {}  # id(sched) -> (dirty on entry, riders on exit), next round
-    slice_general = ReplicaBatch._slice_general
-    step_soa = Scheduler._step_soa
-
-    def traced_slice(self, sched, *args):
-        had_followers = bool(sched._followers_of)
-        slice_general(self, sched, *args)
-        if not had_followers and sched._followers_of:
-            formed[id(sched)] = sched._groups.dirty
-
-    def traced_step(self, active):
-        key = id(self)
-        if key in formed and key not in rebuilt:
-            dirty = self._groups.dirty
-            step_soa(self, active)
-            rebuilt[key] = (dirty, bool(self._groups.riders) and not self._groups.dirty)
-        else:
-            step_soa(self, active)
-
-    monkeypatch.setattr(ReplicaBatch, "_slice_general", traced_slice)
-    monkeypatch.setattr(Scheduler, "_step_soa", traced_step)
-    batch = make_replica_batch(
-        graph,
-        [_uxs_group_fleet(graph, 4, s) for s in range(replicas)],
-        strict=True,
-        backend=backend,
-    )
-    outcomes = batch.run(max_rounds=500_000)
-    monkeypatch.undo()
-
-    assert len(formed) == replicas
-    assert all(formed.values())
-    assert set(rebuilt) == set(formed)
-    assert set(rebuilt.values()) == {(True, True)}
-    for seed, outcome in enumerate(outcomes):
-        scalar = World(graph, _uxs_group_fleet(graph, 4, seed), strict=True).run(
-            max_rounds=500_000, engine="soa"
-        )
-        assert outcome.ok, (seed, outcome.error_type, outcome.error)
-        assert outcome.result.positions == scalar.positions, seed
-        assert metrics_dict(outcome.result.metrics) == metrics_dict(scalar.metrics), seed
-        assert outcome.result.detected == scalar.detected
-        assert outcome.result.stats == scalar.stats
 
 
 # ---------------------------------------------------------------------------

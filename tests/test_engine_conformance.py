@@ -196,7 +196,7 @@ def test_stepwise_protocol_matches_run(engine):
 
     Round-granular backends are held in lockstep with a reference engine —
     positions and round counters must agree after every step.  Coarse
-    backends (``supports_batch``: the replica engine retires whole slices)
+    backends (``supports_batch``: the replica engine runs the whole request)
     only promise progress per step and a conforming final state.
     """
     case_id, graph, factory_fn, place, k = MATRIX[0]
@@ -376,7 +376,7 @@ def _failure_signature(engine, kind):
     try:
         run_engine(engine, graph, fleet, **kwargs)
     except Exception as exc:  # noqa: BLE001 — the signature IS the test
-        return type(exc).__name__, str(exc)
+        return type(exc).__name__, str(exc), getattr(exc, "round", None)
     pytest.fail(f"{engine}: expected {kind} failure, run completed")
 
 
